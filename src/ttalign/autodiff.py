@@ -80,12 +80,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def is_leaf(self) -> bool:
-        return self._vjp is None
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -190,14 +184,18 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        return ga, gb
 
     return _node(a.data + b.data, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(-g, b.shape) if b.requires_grad else None
+        return ga, gb
 
     return _node(a.data - b.data, (a, b), vjp)
 
@@ -521,11 +519,6 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
             else:
                 grads[p._uid] = pg
     return result
-
-
-def zero_grads(params) -> None:
-    for p in params:
-        p.grad = None
 
 
 # -- finite-difference checking ---------------------------------------------

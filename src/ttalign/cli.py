@@ -97,7 +97,7 @@ def _build_tta_config(kv: dict[str, str], args) -> TTAConfig:
         if val is not None:
             overrides[key] = val
     if args.align_layers is not None:
-        overrides["align_layers"] = tuple(int(x) for x in args.align_layers.split(","))
+        overrides["align_layers"] = _coerce("align_layers", args.align_layers, ())
     if args.freeze_coupling:
         overrides["update_coupling"] = False
     if args.include_cls_in_stats:
@@ -190,7 +190,7 @@ def _parse_axis_values(axis: str, raw: str):
     parts = [x for x in raw.split(",") if x]
     if axis in ("beta", "prompt_reg_lambda"):
         return [float(x) for x in parts]
-    if axis in ("n_views", "n_steps", "bag_size"):
+    if axis in ("n_views", "n_steps"):
         return [int(x) for x in parts]
     if axis == "align_layers":
         return [tuple(int(y) for y in x.split("+")) for x in parts]

@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .augment import generate_views
 from .errors import ContractError, DataError, FormatError
 from .model import DualEncoder, PromptState, predict
 from .stats import SourceStats
@@ -307,18 +306,6 @@ def _record(index: int, label: int, episode: EpisodeResult) -> dict:
     }
 
 
-def _bag_partners(labels: np.ndarray, index: int, bag_size: int) -> list[int]:
-    """Deterministic same-class partner indices (cyclic by dataset order)."""
-    same = np.flatnonzero(labels == labels[index])
-    pos = int(np.searchsorted(same, index))
-    partners = []
-    for step in range(1, len(same)):
-        if len(partners) >= bag_size - 1:
-            break
-        partners.append(int(same[(pos + step) % len(same)]))
-    return partners
-
-
 def run_eval(
     model: DualEncoder,
     dataset: DatasetBundle,
@@ -326,7 +313,6 @@ def run_eval(
     config: TTAConfig,
     prompt_seed: int = 0,
     workers: int = 1,
-    bag_size: int = 1,
     limit: int | None = None,
 ) -> EvalReport:
     """Adapt-and-predict over a dataset and aggregate Top-1 accuracy.
@@ -348,22 +334,8 @@ def run_eval(
     else:
         def one(i: int) -> EpisodeResult:
             prompts = PromptState(model.config, seed=prompt_seed)
-            bag_views = None
-            if bag_size > 1:
-                partners = _bag_partners(labels, i, bag_size)
-                if partners:
-                    bag_views = np.concatenate(
-                        [
-                            generate_views(
-                                images[j], config.n_views,
-                                _mix_seed(config.seed, n + j), config.crop_min_scale,
-                            ).views
-                            for j in partners
-                        ]
-                    )
             return adapt_and_predict(
-                images[i], model, prompts, stats, config,
-                view_seed=_mix_seed(config.seed, i), bag_views=bag_views,
+                images[i], model, prompts, stats, config, view_seed=_mix_seed(config.seed, i)
             )
 
         if workers > 1:
@@ -419,7 +391,7 @@ def write_report(report: EvalReport, directory) -> None:
 
 ABLATION_AXES = (
     "beta", "n_views", "n_steps", "align_loss", "align_layers",
-    "mode", "prompt_reg_lambda", "bag_size",
+    "mode", "prompt_reg_lambda",
 )
 
 
@@ -446,15 +418,9 @@ def run_ablation(
     rows = []
     reports = []
     for value in values:
-        bag = 1
-        if axis == "bag_size":
-            bag = int(value)
-            cfg = base_config
-        else:
-            cfg = replace(base_config, **{axis: value})
+        cfg = replace(base_config, **{axis: value})
         report = run_eval(
-            model, dataset, stats, cfg,
-            prompt_seed=prompt_seed, workers=workers, bag_size=bag, limit=limit,
+            model, dataset, stats, cfg, prompt_seed=prompt_seed, workers=workers, limit=limit
         )
         per_sample = report.runtime_s / max(report.n_samples, 1)
         rows.append(

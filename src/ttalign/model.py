@@ -363,6 +363,42 @@ class DualEncoder:
     def patch_proj_tokens(self, patches: Tensor) -> Tensor:
         return self.vision.patch_proj(patches) + self.vision.pos[1:]
 
+    def embed_image(self, images: np.ndarray, prompts: PromptState | None = None) -> Tensor:
+        """Token matrix entering the first block for a batch (B, C, H, W):
+        CLS, then the layer-0 vision prompts if ``prompts`` is given, then the
+        patch tokens."""
+        b = images.shape[0]
+        d = self.config.embed_dim_v
+        v = self.config.n_prompt_tokens
+        tokens = self.patch_embed(images)
+        cls = ad.broadcast_to(ad.reshape(self.vision.cls + self.vision.pos[0], (1, 1, d)), (b, 1, d))
+        if prompts is None:
+            return ad.concat([cls, tokens], axis=1)
+        pv = ad.broadcast_to(ad.reshape(prompts.vision_prompt(0), (1, v, d)), (b, v, d))
+        return ad.concat([cls, pv, tokens], axis=1)
+
+    def run_blocks(self, x: Tensor, lo: int, hi: int, prompts: PromptState | None = None):
+        """Run vision blocks ``lo..hi-1`` (layers lo+1..hi) on a token batch.
+
+        A prompted block below ``prompt_depth`` first replaces the prompt
+        tokens with its own layer's vision prompts. Returns the output tokens
+        and the list of each block's output.
+        """
+        b, _, d = x.shape
+        v = self.config.n_prompt_tokens
+        layer_tokens: list[Tensor] = []
+        for i in range(lo, hi):
+            if prompts is not None and 1 <= i < self.config.prompt_depth:
+                pv = ad.broadcast_to(ad.reshape(prompts.vision_prompt(i), (1, v, d)), (b, v, d))
+                x = ad.concat([x[:, :1], pv, x[:, 1 + v :]], axis=1)
+            x = self.vision.blocks[i](x)
+            layer_tokens.append(x)
+        return x, layer_tokens
+
+    def image_head(self, x: Tensor) -> Tensor:
+        """L2-normalized projected CLS feature of the last block's tokens."""
+        return ad.l2_normalize(ad.matmul(self.vision.ln_post(x[:, 0]), self.vision.proj))
+
     def encode_image(self, image, prompts: PromptState | None = None):
         """Encode one image or a batch of views.
 
@@ -374,27 +410,9 @@ class DualEncoder:
         imgs = np.asarray(image, dtype=np.float64)
         if single:
             imgs = imgs[None]
-        b = imgs.shape[0]
-        d = self.config.embed_dim_v
-        v = self.config.n_prompt_tokens
-
-        tokens = self.patch_embed(imgs)
-        cls = ad.broadcast_to(ad.reshape(self.vision.cls + self.vision.pos[0], (1, 1, d)), (b, 1, d))
-        if prompts is not None:
-            pv = ad.broadcast_to(ad.reshape(prompts.vision_prompt(0), (1, v, d)), (b, v, d))
-            x = ad.concat([cls, pv, tokens], axis=1)
-        else:
-            x = ad.concat([cls, tokens], axis=1)
-
-        layer_tokens: list[Tensor] = []
-        for i, blk in enumerate(self.vision.blocks):
-            if prompts is not None and 1 <= i < self.config.prompt_depth:
-                pv = ad.broadcast_to(ad.reshape(prompts.vision_prompt(i), (1, v, d)), (b, v, d))
-                x = ad.concat([x[:, :1], pv, x[:, 1 + v :]], axis=1)
-            x = blk(x)
-            layer_tokens.append(x)
-
-        feat = ad.l2_normalize(ad.matmul(self.vision.ln_post(x[:, 0]), self.vision.proj))
+        x = self.embed_image(imgs, prompts)
+        x, layer_tokens = self.run_blocks(x, 0, self.config.n_vision_layers, prompts)
+        feat = self.image_head(x)
         if single:
             feat = feat[0]
         return feat, layer_tokens

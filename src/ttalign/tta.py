@@ -4,12 +4,15 @@ Per test sample: generate augmented views, keep the most confident
 predictions (lowest entropy) for the averaged-entropy loss, compute the
 token-statistics alignment loss against precomputed source statistics over
 *all* views, and update the prompt parameters on the combined objective.
+Each step tapes only what that objective reads: the blocks up to the deepest
+aligned layer over all views, and the blocks above it over the kept views.
 Episodic mode resets the prompts before every sample; continuous mode lets
 them persist, optionally pulled back toward their previous value.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -48,8 +51,16 @@ class TTAConfig:
     crop_min_scale: float = DEFAULT_MIN_SCALE
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ConfigurationError(f"beta must be >= 0, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ConfigurationError(f"beta must be finite and >= 0, got {self.beta}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
+        if not 0.0 < self.crop_min_scale <= 1.0:
+            raise ConfigurationError(
+                f"crop_min_scale must be in (0, 1], got {self.crop_min_scale}"
+            )
         if not 0.0 < self.filter_ratio <= 1.0:
             raise ConfigurationError(f"filter_ratio must be in (0, 1], got {self.filter_ratio}")
         if self.n_views < 1:
@@ -62,6 +73,8 @@ class TTAConfig:
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         parse_align_variant(self.align_loss)
         object.__setattr__(self, "align_layers", tuple(self.align_layers))
+        if not self.align_layers:
+            raise ConfigurationError("align_layers must name at least one layer")
 
 
 def parse_align_variant(name: str) -> tuple[str, int]:
@@ -103,15 +116,19 @@ def shannon_entropy(probs: np.ndarray, axis: int = -1) -> np.ndarray:
     return -np.sum(terms, axis=axis)
 
 
+def kept_count(n: int, ratio: float) -> int:
+    """How many of ``n`` views the confidence filter keeps: max(1, floor(ratio * n))."""
+    return max(1, int(np.floor(ratio * n)))
+
+
 def confidence_filter(view_probs: np.ndarray, ratio: float) -> np.ndarray:
-    """Indices of the max(1, floor(ratio * N)) lowest-entropy rows.
+    """Indices of the ``kept_count(N, ratio)`` lowest-entropy rows.
 
     Ties break toward the lower view index; the returned indices are sorted
     ascending, so ratio = 1.0 yields all view indices in order.
     """
     probs = np.asarray(view_probs, dtype=np.float64)
-    n = probs.shape[0]
-    keep = max(1, int(np.floor(ratio * n)))
+    keep = kept_count(probs.shape[0], ratio)
     entropies = shannon_entropy(probs)
     chosen = np.argsort(entropies, kind="stable")[:keep]
     return np.sort(chosen)
@@ -224,15 +241,18 @@ def adapt_and_predict(
     source_stats: SourceStats | None,
     config: TTAConfig,
     view_seed: int | None = None,
-    bag_views: np.ndarray | None = None,
     optimizer=None,
 ) -> EpisodeResult:
     """Adapt the prompts to one test image and return the final prediction.
 
-    ``bag_views`` optionally appends pre-generated views of extra images to
-    the statistics batch (the entropy loss always sees only the test sample's
-    own views). ``optimizer`` lets continuous mode persist optimizer state
-    across samples; episodic callers leave it None for a fresh one.
+    Each step splits the vision encoder at layer h, the deepest aligned layer
+    (h = 0, right after the embedding, when ``beta == 0``). Blocks 1..h run
+    taped over all views and feed the alignment statistics. Blocks h+1..L
+    first run untaped over all views to rank them for the confidence filter
+    (skipped when the filter keeps every view), then run taped from the
+    layer-h tokens of the kept views only, which feed the entropy loss.
+    ``optimizer`` lets continuous mode persist optimizer state across
+    samples; episodic callers leave it None for a fresh one.
     """
     t0 = time.perf_counter()
     _check_stats(model, source_stats, config)
@@ -253,15 +273,23 @@ def adapt_and_predict(
     result = EpisodeResult(predicted=-1, probs=np.empty(0))
     if config.n_steps > 0:
         views = generate_views(image, config.n_views, seed, config.crop_min_scale).views
-        stat_batch = views if bag_views is None else np.concatenate([views, bag_views])
+        n_layers = model.config.n_vision_layers
+        split = max(config.align_layers) if config.beta > 0.0 else 0
+        rank_views = kept_count(config.n_views, config.filter_ratio) < config.n_views
         for _ in range(config.n_steps):
-            feats, layer_tokens = model.encode_image(stat_batch, prompts)
-            view_feats = feats[: config.n_views] if bag_views is not None else feats
+            x_split, layer_tokens = model.run_blocks(
+                model.embed_image(views, prompts), 0, split, prompts
+            )
             text_feats = model.encode_text(prompts=prompts)
-            probs = classify(view_feats, text_feats, model.temperature)
-
-            kept = confidence_filter(probs.data, config.filter_ratio)
-            l_ent = entropy_loss(probs, kept)
+            kept = np.arange(config.n_views)
+            if rank_views:
+                with ad.no_grad():
+                    x_top, _ = model.run_blocks(x_split, split, n_layers, prompts)
+                    ranking = classify(model.image_head(x_top), text_feats, model.temperature)
+                kept = confidence_filter(ranking.data, config.filter_ratio)
+            x_top, _ = model.run_blocks(ad.take(x_split, kept), split, n_layers, prompts)
+            probs = classify(model.image_head(x_top), text_feats, model.temperature)
+            l_ent = entropy_loss(probs, np.arange(kept.size))
             l_align = None
             if config.beta > 0.0:
                 token_idx = model.token_indices(

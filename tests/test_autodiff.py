@@ -187,6 +187,25 @@ def test_backward_replay_is_bit_identical():
     assert np.array_equal(g1, g2)
 
 
+@pytest.mark.parametrize("op, sign", [(ad.add, 1.0), (ad.sub, -1.0)])
+def test_add_sub_vjp_skips_frozen_operand(op, sign):
+    rng = np.random.default_rng(8)
+    live = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    bias = Tensor(rng.normal(size=(4,)))
+    g = rng.normal(size=(2, 3, 4))
+
+    g_live, g_bias = op(live, bias)._vjp(g)
+    assert g_bias is None
+    npt.assert_array_equal(g_live, g)
+    g_bias, g_live = op(bias, live)._vjp(g)
+    assert g_bias is None
+    npt.assert_array_equal(g_live, sign * g)
+
+    w = Tensor(g)
+    npt.assert_array_equal(ad.backward(ad.tsum(op(live, bias) * w))[live], g)
+    npt.assert_array_equal(ad.backward(ad.tsum(op(bias, live) * w))[live], sign * g)
+
+
 def test_grad_accumulates_on_leaf():
     p = Tensor([1.0, 1.0], requires_grad=True)
     ad.backward(ad.tsum(p * p))

@@ -172,14 +172,6 @@ def test_eval_continuous_mode_runs(tiny_model, tiny_stats, tiny_data):
     assert report.n_samples == 5
 
 
-def test_eval_bag_size_runs(tiny_model, tiny_stats, tiny_data):
-    _, _, test = tiny_data
-    config = tl.TTAConfig(beta=100.0, n_views=4, seed=7)
-    r1 = harness.run_eval(tiny_model, test, tiny_stats, config, limit=6, bag_size=1)
-    r3 = harness.run_eval(tiny_model, test, tiny_stats, config, limit=6, bag_size=3)
-    assert r1.records[0]["align_losses"] != r3.records[0]["align_losses"]
-
-
 # -- ablations ---------------------------------------------------------------------
 
 
@@ -319,6 +311,27 @@ def test_cli_eval_without_stats_exits_2(cli_workspace, capsys):
                    "eval", "--ckpt", str(ws["ckpt"]), "--data", str(ws["data"] / "test")])
     assert rc == 2
     assert "requires --stats" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, cfg_line", [
+    ([], "align_layers="),
+    (["--beta", "nan"], ""),
+    (["--beta", "inf"], ""),
+    (["--lr", "0"], ""),
+    (["--lr", "-0.001"], ""),
+    (["--lr", "inf"], ""),
+    ([], "crop_min_scale=0"),
+    ([], "crop_min_scale=1.5"),
+])
+def test_cli_invalid_tta_config_exits_2(cli_workspace, tmp_path, capsys, flags, cfg_line):
+    ws = cli_workspace
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(ws["cfg"].read_text() + cfg_line + "\n")
+    rc = cli_main(["--config", str(cfg), "--out", str(tmp_path / "e"),
+                   "eval", "--ckpt", str(ws["ckpt"]), "--data", str(ws["data"] / "test"),
+                   "--stats", str(ws["stats"]), "--limit", "1", *flags])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_eval_writes_report(cli_workspace):

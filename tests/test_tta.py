@@ -428,18 +428,52 @@ def test_one_aligned_step_reduces_align_loss(tiny_model, tiny_stats, tiny_data):
     assert improved >= 80
 
 
-def test_bag_views_change_stats_not_entropy(tiny_model, tiny_stats, tiny_data):
+def _full_tape_step(model, prompts, views, stats, config):
+    """Reference step: every view through every block on one tape."""
+    feats, layer_tokens = model.encode_image(views, prompts)
+    text = model.encode_text(prompts=prompts)
+    probs = tl.classify(feats, text, model.temperature)
+    kept = tta.confidence_filter(probs.data, config.filter_ratio)
+    l_ent = tta.entropy_loss(probs, kept)
+    l_align = None
+    if config.beta > 0.0:
+        tstats = st.view_stats(layer_tokens, model.token_indices(prompted=True))
+        l_align = tl.align_loss(tstats, stats, config.align_layers, config.align_loss)
+    grads = ad.backward(tl.combined_loss(l_ent, l_align, config.beta))
+    return l_ent.item(), 0.0 if l_align is None else l_align.item(), kept.tolist(), grads
+
+
+@pytest.mark.parametrize("filter_ratio", [1.0, 0.125])
+@pytest.mark.parametrize("update_coupling", [True, False])
+@pytest.mark.parametrize("align_layers", [(1,), (1, 2, 3), (3,)])
+@pytest.mark.parametrize("beta", [0.0, 100.0])
+def test_split_step_matches_full_tape(tiny_model, tiny_stats, tiny_data,
+                                      beta, align_layers, update_coupling, filter_ratio):
     _, _, test = tiny_data
-    img = test.images[0].astype(np.float64)
-    extra = generate_views(test.images[1].astype(np.float64), 4, seed=77).views
-    config = tl.TTAConfig(beta=100.0, n_views=4, seed=9)
-    eps = []
-    for bag in (None, extra):
+    assert tiny_model.config.n_vision_layers == 3
+    config = tl.TTAConfig(beta=beta, n_views=8, filter_ratio=filter_ratio,
+                          align_layers=align_layers, update_coupling=update_coupling,
+                          learning_rate=5e-3, seed=0)
+    for i in range(3):
+        img = test.images[i].astype(np.float64)
+        ref_prompts = tl.PromptState(tiny_model.config, seed=0)
+        views = generate_views(img, config.n_views, 70 + i).views
+        l_ent, l_align, kept, grads = _full_tape_step(
+            tiny_model, ref_prompts, views, tiny_stats, config
+        )
+        assert len(kept) == (8 if filter_ratio == 1.0 else 1)
+
         prompts = tl.PromptState(tiny_model.config, seed=0)
-        eps.append(tl.adapt_and_predict(img, tiny_model, prompts, tiny_stats, config,
-                                        view_seed=13, bag_views=bag))
-    assert eps[0].entropy_losses == eps[1].entropy_losses
-    assert eps[0].align_losses != eps[1].align_losses
+        ep = tl.adapt_and_predict(img, tiny_model, prompts, tiny_stats, config,
+                                  view_seed=70 + i)
+        assert ep.kept_views == [kept]
+        assert abs(ep.entropy_losses[0] - l_ent) <= 1e-12 * max(1.0, abs(l_ent))
+        assert abs(ep.align_losses[0] - l_align) <= 1e-12 * max(1.0, abs(l_align))
+        # backward leaves each prompt's step gradient in .grad, frozen couplers included
+        for ref, p in zip(ref_prompts.all_parameters(), prompts.all_parameters()):
+            scale = np.max(np.abs(grads[ref]))
+            assert scale > 0.0
+            assert np.max(np.abs(p.grad - grads[ref])) <= 1e-10 * scale
 
 
 # -- continuous mode ---------------------------------------------------------------------
@@ -518,3 +552,14 @@ def test_config_validation():
         tl.TTAConfig(optimizer="lion")
     with pytest.raises(ConfigurationError):
         tl.TTAConfig(align_loss="cmd-1")
+    bad = [
+        {"align_layers": ()},
+        {"beta": float("nan")}, {"beta": float("inf")},
+        {"learning_rate": 0.0}, {"learning_rate": -1e-3},
+        {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+        {"crop_min_scale": 0.0}, {"crop_min_scale": 1.5}, {"crop_min_scale": float("nan")},
+    ]
+    for kwargs in bad:
+        with pytest.raises(ConfigurationError):
+            tl.TTAConfig(**kwargs)
+    tl.TTAConfig(crop_min_scale=1.0, align_layers=(2,))
