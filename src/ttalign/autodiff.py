@@ -524,25 +524,6 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
 # -- finite-difference checking ---------------------------------------------
 
 
-def finite_difference(f, params, step: float = 1e-5) -> list[np.ndarray]:
-    """Central finite differences of scalar ``f()`` w.r.t. each param entry."""
-    fds = []
-    with no_grad():
-        for p in params:
-            flat = p.data.reshape(-1)
-            fd = np.empty_like(flat)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + step
-                fp = float(f().data)
-                flat[i] = orig - step
-                fm = float(f().data)
-                flat[i] = orig
-                fd[i] = (fp - fm) / (2.0 * step)
-            fds.append(fd.reshape(p.shape))
-    return fds
-
-
 def _relative_error(analytic: np.ndarray, fd: np.ndarray, floor: float = 1e-8) -> float:
     """Max relative mismatch with an absolute-scale floor on the denominator.
 
@@ -563,11 +544,7 @@ def grad_check(f, params, step: float = 1e-5) -> float:
 
     ``f`` must rebuild its graph from the current param values on each call.
     """
-    params = list(params)
-    grads = backward(f())
-    analytic = [grads.get(p, np.zeros_like(p.data)) for p in params]
-    fds = finite_difference(f, params, step)
-    return max(_relative_error(a, fd) for a, fd in zip(analytic, fds))
+    return grad_check_many(lambda: {"f": f()}, params, step)["f"]
 
 
 def grad_check_many(f, params, step: float = 1e-5, denom_floor=None) -> dict[str, float]:

@@ -3,7 +3,10 @@
 Subcommands: gen-data, pretrain, compute-stats, adapt, eval, ablate,
 grad-check. Global flags ``--seed``, ``--config`` (flat key=value file) and
 ``--out``. Precedence: built-in defaults < config file < command-line flags.
-Exit codes: 0 success, 1 usage error, 2 data or compatibility error.
+Every value, from the file, a flag or ``ablate --values``, takes the type of
+its field's default in ModelConfig, TTAConfig or GenConfig.
+Exit codes: 0 success; 1 usage error (unknown command or flag, a config
+line without ``=``); 2 bad config key or value, data or compatibility error.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import sys
 import numpy as np
 
 from . import harness, model as model_mod, stats as stats_mod, tta
-from .errors import TTAlignError
+from .errors import ConfigurationError, TTAlignError
 from .harness import GenConfig, ShiftSpec
 from .model import DualEncoder, ModelConfig, PromptState
 from .tta import TTAConfig
@@ -29,6 +32,43 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2; spec wants 1
         raise _UsageError(message)
+
+
+# Every config key and its default. A key shared by two classes (class_names,
+# image_size, channels) has the same type in both.
+_DEFAULTS = {
+    f.name: f.default
+    for cls in (ModelConfig, TTAConfig, GenConfig)
+    for f in dataclasses.fields(cls)
+}
+_BOOLS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
+
+# The flags that set a config field: (flag names, class, field, extra
+# add_argument options). Flag values are strings that _coerce parses like
+# config-file values; a store_const flag sets its field to the constant.
+_FLAGS = (
+    (("--beta",), TTAConfig, "beta", {}),
+    (("--n-views",), TTAConfig, "n_views", {}),
+    (("--filter-ratio",), TTAConfig, "filter_ratio", {}),
+    (("--lr", "--learning-rate"), TTAConfig, "learning_rate", {}),
+    (("--n-steps",), TTAConfig, "n_steps", {}),
+    (("--align-layers",), TTAConfig, "align_layers", {"help": "comma-separated, e.g. 1,2,3"}),
+    (("--align-loss",), TTAConfig, "align_loss", {"help": "l1 | l2 | kl | cmd-K"}),
+    (("--tta-mode",), TTAConfig, "mode", {}),
+    (("--prompt-reg-lambda",), TTAConfig, "prompt_reg_lambda", {}),
+    (("--optimizer",), TTAConfig, "optimizer", {}),
+    (("--weight-decay",), TTAConfig, "weight_decay", {}),
+    (("--freeze-coupling",), TTAConfig, "update_coupling",
+     {"action": "store_const", "const": "false"}),
+    (("--include-cls-in-stats",), TTAConfig, "include_cls_in_stats",
+     {"action": "store_const", "const": "true"}),
+    (("--n-source",), GenConfig, "n_source", {}),
+    (("--n-test",), GenConfig, "n_test", {}),
+    (("--noise-sigma",), GenConfig, "noise_sigma", {}),
+)
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -48,82 +88,45 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return kv
 
 
-def _coerce(key: str, raw: str, default):
-    if key == "align_layers":
-        return tuple(int(x) for x in raw.split(",") if x)
-    if key == "class_names":
-        return tuple(x for x in raw.split(",") if x)
-    if isinstance(default, bool):
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise _UsageError(f"bad boolean for {key}: {raw!r}")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+def _coerce(key: str, raw: str):
+    """Parse ``raw`` as the type of config field ``key``'s default; a tuple
+    default takes a comma list of its element type."""
+    if key not in _DEFAULTS:
+        raise ConfigurationError(f"unknown config key {key!r}")
+    default = _DEFAULTS[key]
+    try:
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(x) for x in raw.split(",") if x)
+        if isinstance(default, bool):
+            return _BOOLS[raw.lower()]
+        if isinstance(default, (int, float, str)):
+            return type(default)(raw)
+    except (KeyError, ValueError) as exc:
+        raise ConfigurationError(f"bad value for {key}: {raw!r}") from exc
+    raise ConfigurationError(f"{key} cannot be set from a flag or config file")
 
 
-def _config_overrides(cls, kv: dict[str, str]) -> dict:
-    defaults = cls()
-    out = {}
-    for f in dataclasses.fields(cls):
-        if f.name in kv:
-            out[f.name] = _coerce(f.name, kv[f.name], getattr(defaults, f.name))
-    return out
+def _config_values(args) -> dict:
+    """Parsed config values: the config file, then every flag given."""
+    kv = _parse_config_file(args.config) if args.config else {}
+    for key in ("seed", *(field for _, _, field, _ in _FLAGS)):
+        if getattr(args, key, None) is not None:
+            kv[key] = getattr(args, key)
+    return {key: _coerce(key, raw) for key, raw in kv.items()}
 
 
-def _build_model_config(kv: dict[str, str]) -> ModelConfig:
-    return ModelConfig(**_config_overrides(ModelConfig, kv))
+def _build(cls, values: dict):
+    return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values})
 
 
-def _build_tta_config(kv: dict[str, str], args) -> TTAConfig:
-    overrides = _config_overrides(TTAConfig, kv)
-    flag_map = {
-        "beta": args.beta,
-        "n_views": args.n_views,
-        "filter_ratio": args.filter_ratio,
-        "learning_rate": args.learning_rate,
-        "n_steps": args.n_steps,
-        "align_loss": args.align_loss,
-        "mode": args.tta_mode,
-        "prompt_reg_lambda": args.prompt_reg_lambda,
-        "optimizer": args.optimizer,
-        "weight_decay": args.weight_decay,
-    }
-    for key, val in flag_map.items():
-        if val is not None:
-            overrides[key] = val
-    if args.align_layers is not None:
-        overrides["align_layers"] = _coerce("align_layers", args.align_layers, ())
-    if args.freeze_coupling:
-        overrides["update_coupling"] = False
-    if args.include_cls_in_stats:
-        overrides["include_cls_in_stats"] = True
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return TTAConfig(**overrides)
+def _add_config_flags(p: argparse.ArgumentParser, cls) -> None:
+    for names, owner, field, extra in _FLAGS:
+        if owner is cls:
+            p.add_argument(*names, dest=field, **extra)
 
 
 def _add_tta_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--n-views", type=int, default=None, dest="n_views")
-    p.add_argument("--filter-ratio", type=float, default=None, dest="filter_ratio")
-    p.add_argument("--lr", "--learning-rate", type=float, default=None, dest="learning_rate")
-    p.add_argument("--n-steps", type=int, default=None, dest="n_steps")
-    p.add_argument("--align-layers", type=str, default=None, dest="align_layers",
-                   help="comma-separated 1-indexed layers, e.g. 1,2,3")
-    p.add_argument("--align-loss", type=str, default=None, dest="align_loss",
-                   help="l1 | l2 | kl | cmd-K")
-    p.add_argument("--tta-mode", type=str, default=None, dest="tta_mode",
-                   choices=("episodic", "continuous"))
-    p.add_argument("--prompt-reg-lambda", type=float, default=None, dest="prompt_reg_lambda")
-    p.add_argument("--optimizer", type=str, default=None, choices=("adamw", "sgd"))
-    p.add_argument("--weight-decay", type=float, default=None, dest="weight_decay")
-    p.add_argument("--freeze-coupling", action="store_true", dest="freeze_coupling")
-    p.add_argument("--include-cls-in-stats", action="store_true", dest="include_cls_in_stats")
+    _add_config_flags(p, TTAConfig)
     p.add_argument("--prompt-seed", type=int, default=0, dest="prompt_seed")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--limit", type=int, default=None)
@@ -131,15 +134,13 @@ def _add_tta_flags(p: argparse.ArgumentParser) -> None:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ttalign", description=__doc__)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", default=None)
     parser.add_argument("--config", type=str, default=None, help="flat key=value file")
     parser.add_argument("--out", type=str, default="out")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate synthetic source/val/test datasets")
-    p.add_argument("--n-source", type=int, default=None, dest="n_source")
-    p.add_argument("--n-test", type=int, default=None, dest="n_test")
-    p.add_argument("--noise-sigma", type=float, default=None, dest="noise_sigma")
+    _add_config_flags(p, GenConfig)
     p.add_argument("--shift-kind", type=str, default="mean-offset",
                    choices=harness.SHIFT_KINDS, dest="shift_kind")
     p.add_argument("--shift-magnitude", type=float, default=0.0, dest="shift_magnitude")
@@ -186,17 +187,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_axis_values(axis: str, raw: str):
-    parts = [x for x in raw.split(",") if x]
-    if axis in ("beta", "prompt_reg_lambda"):
-        return [float(x) for x in parts]
-    if axis in ("n_views", "n_steps"):
-        return [int(x) for x in parts]
-    if axis == "align_layers":
-        return [tuple(int(y) for y in x.split("+")) for x in parts]
-    return parts  # align_loss, mode
-
-
 def _load_stats_checked(args, model: DualEncoder, config: TTAConfig):
     if args.stats is None:
         if config.beta > 0.0:
@@ -227,19 +217,15 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    kv = _parse_config_file(args.config) if args.config else {}
+    kv = _config_values(args)
+    seed = kv.get("seed", TTAConfig.seed)
     os.makedirs(args.out, exist_ok=True)
 
     if args.command == "gen-data":
-        overrides = _config_overrides(GenConfig, kv)
-        for key in ("n_source", "n_test", "noise_sigma"):
-            val = getattr(args, key)
-            if val is not None:
-                overrides[key] = val
-        overrides["shift"] = ShiftSpec(kind=args.shift_kind, magnitude=args.shift_magnitude)
-        config = GenConfig(**overrides)
-        source, test = harness.gen_synthetic(config, args.seed)
-        val = harness.gen_source_val(config, args.seed)
+        kv["shift"] = ShiftSpec(kind=args.shift_kind, magnitude=args.shift_magnitude)
+        config = _build(GenConfig, kv)
+        source, test = harness.gen_synthetic(config, seed)
+        val = harness.gen_source_val(config, seed)
         harness.save_dataset(source, os.path.join(args.out, "source"))
         harness.save_dataset(val, os.path.join(args.out, "val"))
         harness.save_dataset(test, os.path.join(args.out, "test"))
@@ -249,15 +235,13 @@ def _dispatch(args) -> int:
 
     if args.command == "pretrain":
         bundle = harness.load_dataset(args.data)
-        cfg_kv = dict(kv)
-        cfg_kv.setdefault("class_names", ",".join(bundle.meta.class_names))
-        cfg_kv.setdefault("image_size", str(bundle.meta.height))
-        cfg_kv.setdefault("channels", str(bundle.meta.channels))
-        config = _build_model_config(cfg_kv)
-        mdl = DualEncoder(config, seed=args.seed)
+        kv.setdefault("class_names", bundle.meta.class_names)
+        kv.setdefault("image_size", bundle.meta.height)
+        kv.setdefault("channels", bundle.meta.channels)
+        mdl = DualEncoder(_build(ModelConfig, kv), seed=seed)
         history = model_mod.pretrain_backbone(
             mdl, bundle.images, bundle.labels,
-            epochs=args.epochs, seed=args.seed, lr=args.lr, batch_size=args.batch_size,
+            epochs=args.epochs, seed=seed, lr=args.lr, batch_size=args.batch_size,
         )
         ckpt = os.path.join(args.out, "checkpoint.bin")
         model_mod.save_checkpoint(mdl, ckpt)
@@ -287,7 +271,7 @@ def _dispatch(args) -> int:
 
     if args.command in ("adapt", "eval", "ablate"):
         mdl = model_mod.load_checkpoint(args.ckpt)
-        config = _build_tta_config(kv, args)
+        config = _build(TTAConfig, kv)
         stats = _load_stats_checked(args, mdl, config)
         bundle = harness.load_dataset(args.data)
 
@@ -321,7 +305,7 @@ def _dispatch(args) -> int:
                   f"({report.runtime_s:.1f}s); report in {args.out}")
             return 0
 
-        values = _parse_axis_values(args.axis, args.values)
+        values = [_coerce(args.axis, v.replace("+", ",")) for v in args.values.split(",") if v]
         result = harness.run_ablation(
             mdl, bundle, stats, config, args.axis, values,
             prompt_seed=args.prompt_seed, workers=args.workers, limit=args.limit,
@@ -331,7 +315,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "grad-check":
-        errors = tta.gradient_suite(n_episodes=args.episodes, seed=args.seed, step=args.step)
+        errors = tta.gradient_suite(n_episodes=args.episodes, seed=seed, step=args.step)
         worst = max(errors.values())
         for name, err in sorted(errors.items()):
             print(f"{name:>12}: max relative error {err:.3e}")

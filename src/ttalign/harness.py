@@ -148,39 +148,15 @@ def _box_blur_mix(imgs: np.ndarray, alpha: float) -> np.ndarray:
     return (1.0 - alpha) * imgs + alpha * (acc / 9.0)
 
 
-def gen_synthetic(config: GenConfig, seed: int) -> tuple[DatasetBundle, DatasetBundle]:
-    """Generate a (source, shifted-test) bundle pair, fully seed-determined."""
-    if config.n_classes < 2:
-        raise ContractError("need at least 2 classes")
-
-    def bundle(n: int, stream: int, split: str, shift: ShiftSpec | None) -> DatasetBundle:
-        rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(stream)]))
-        labels = np.arange(n, dtype=np.uint32) % config.n_classes
-        images = _render_class_images(rng, labels, config)
-        if shift is not None:
-            images = apply_shift(images, shift)
-        meta = DatasetMeta(
-            n_samples=n,
-            channels=config.channels,
-            height=config.image_size,
-            width=config.image_size,
-            n_classes=config.n_classes,
-            class_names=tuple(config.class_names),
-            split=split,
-        )
-        return DatasetBundle(meta=meta, images=images.astype(np.float32), labels=labels)
-
-    source = bundle(config.n_source, 0, "source-train", None)
-    test = bundle(config.n_test, 1, "test-shifted", config.shift)
-    return source, test
-
-
-def gen_source_val(config: GenConfig, seed: int) -> DatasetBundle:
-    """An independent source-distribution draw, tagged as the validation split."""
-    rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(2)]))
-    n = config.n_test
+def _draw(
+    config: GenConfig, seed: int, stream: int, n: int, split: str, shift: ShiftSpec | None
+) -> DatasetBundle:
+    """``n`` images from Philox stream ``(seed, stream)``, labels cycling classes."""
+    rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(stream)]))
     labels = np.arange(n, dtype=np.uint32) % config.n_classes
     images = _render_class_images(rng, labels, config)
+    if shift is not None:
+        images = apply_shift(images, shift)
     meta = DatasetMeta(
         n_samples=n,
         channels=config.channels,
@@ -188,9 +164,23 @@ def gen_source_val(config: GenConfig, seed: int) -> DatasetBundle:
         width=config.image_size,
         n_classes=config.n_classes,
         class_names=tuple(config.class_names),
-        split="source-val",
+        split=split,
     )
     return DatasetBundle(meta=meta, images=images.astype(np.float32), labels=labels)
+
+
+def gen_synthetic(config: GenConfig, seed: int) -> tuple[DatasetBundle, DatasetBundle]:
+    """Generate a (source, shifted-test) bundle pair, fully seed-determined."""
+    if config.n_classes < 2:
+        raise ContractError("need at least 2 classes")
+    source = _draw(config, seed, 0, config.n_source, "source-train", None)
+    test = _draw(config, seed, 1, config.n_test, "test-shifted", config.shift)
+    return source, test
+
+
+def gen_source_val(config: GenConfig, seed: int) -> DatasetBundle:
+    """An independent source-distribution draw, tagged as the validation split."""
+    return _draw(config, seed, 2, config.n_test, "source-val", None)
 
 
 # -- dataset files ------------------------------------------------------------
@@ -215,16 +205,13 @@ def save_dataset(bundle: DatasetBundle, directory) -> None:
 
 
 def load_dataset(directory) -> DatasetBundle:
-    meta_path = os.path.join(directory, "meta.txt")
-    if not os.path.exists(meta_path):
-        raise FormatError(f"missing meta.txt in {directory}")
-    kv = {}
-    with open(meta_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and "=" in line:
-                key, val = line.split("=", 1)
-                kv[key] = val
+    try:
+        with open(os.path.join(directory, "meta.txt")) as fh:
+            kv = dict(line.strip().split("=", 1) for line in fh if "=" in line)
+        images = np.fromfile(os.path.join(directory, "images.f32"), dtype="<f4")
+        labels = np.fromfile(os.path.join(directory, "labels.u32"), dtype="<u4")
+    except OSError as exc:
+        raise FormatError(f"cannot read dataset {directory}: {exc}") from exc
     try:
         meta = DatasetMeta(
             n_samples=int(kv["n_samples"]),
@@ -237,11 +224,9 @@ def load_dataset(directory) -> DatasetBundle:
         )
     except KeyError as exc:
         raise FormatError(f"meta.txt missing key {exc}") from exc
-    images = np.fromfile(os.path.join(directory, "images.f32"), dtype="<f4")
     expect = meta.n_samples * meta.channels * meta.height * meta.width
     if images.size != expect:
         raise FormatError(f"images.f32 holds {images.size} floats, expected {expect}")
-    labels = np.fromfile(os.path.join(directory, "labels.u32"), dtype="<u4")
     if labels.size != meta.n_samples:
         raise FormatError(f"labels.u32 holds {labels.size} labels, expected {meta.n_samples}")
     return DatasetBundle(

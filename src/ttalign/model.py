@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -61,6 +62,11 @@ class ModelConfig:
     class_names: tuple[str, ...] = DEFAULT_CLASS_NAMES
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, int) and value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ConfigurationError(f"temperature must be finite and > 0, got {self.temperature}")
         if self.image_size % self.patch_size != 0:
             raise ConfigurationError(
                 f"image size {self.image_size} not divisible by patch {self.patch_size}"
@@ -208,7 +214,7 @@ class PromptState:
             Tensor(rng.normal(0.0, 1.0 / np.sqrt(dt), (dt, dv)), requires_grad=True)
             for _ in range(config.prompt_depth)
         ]
-        self._snapshot = [p.data.copy() for p in self.text_prompts + self.couplers]
+        self._snapshot = [p.data.copy() for p in self.parameters()]
 
     def vision_prompt(self, layer: int) -> Tensor:
         """Derived vision prompts for a prompted layer: p_text @ coupling."""
@@ -220,16 +226,10 @@ class PromptState:
             params += list(self.couplers)
         return params
 
-    def all_parameters(self) -> list[Tensor]:
-        return self.text_prompts + self.couplers
-
     def reset(self) -> None:
-        for p, snap in zip(self.all_parameters(), self._snapshot):
+        for p, snap in zip(self.parameters(), self._snapshot):
             p.data = snap.copy()
             p.grad = None
-
-    def state_arrays(self) -> list[np.ndarray]:
-        return [p.data.copy() for p in self.all_parameters()]
 
 
 def couple(text_prompt: Tensor, coupling: Tensor) -> Tensor:
@@ -568,8 +568,11 @@ def save_checkpoint(model: DualEncoder, path) -> None:
 
 
 def load_checkpoint(path) -> DualEncoder:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read checkpoint: {exc}") from exc
     view = memoryview(raw)
     off = 0
 

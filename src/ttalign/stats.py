@@ -156,37 +156,29 @@ def central_moments(layer_tokens, token_indices, max_order: int) -> dict[int, li
 def source_stats(
     images: np.ndarray,
     model,
-    batch_size: int = 32,
     max_order: int = 2,
     dataset_id: str = "",
     include_cls: bool = False,
 ) -> SourceStats:
     """Offline prompt-free statistics of a dataset under the frozen encoder.
 
-    Images are always forwarded one at a time and accumulated in dataset
-    order; ``batch_size`` only chunks the iteration, so the result is
-    bit-identical for any batch size.
+    Images are forwarded one at a time and accumulated in dataset order.
     """
     images = np.asarray(images, dtype=np.float64)
     if images.ndim == 3:
         images = images[None]
     if images.shape[0] == 0:
         raise DataError("source dataset is empty")
-    if batch_size < 1:
-        raise ContractError(f"batch_size must be >= 1, got {batch_size}")
 
     idx = model.token_indices(prompted=False, include_cls=include_cls)
     accs: list[RunningMoments] | None = None
     with ad.no_grad():
-        for lo in range(0, images.shape[0], batch_size):
-            for img in images[lo : lo + batch_size]:
-                _, layer_tokens = model.encode_image(img)
-                if accs is None:
-                    accs = [
-                        RunningMoments(t.shape[-1], max_order) for t in layer_tokens
-                    ]
-                for acc, tokens in zip(accs, layer_tokens):
-                    acc.add(tokens.data[:, idx])
+        for img in images:
+            _, layer_tokens = model.encode_image(img)
+            if accs is None:
+                accs = [RunningMoments(t.shape[-1], max_order) for t in layer_tokens]
+            for acc, tokens in zip(accs, layer_tokens):
+                acc.add(tokens.data[:, idx])
 
     assert accs is not None
     return SourceStats(
@@ -222,8 +214,11 @@ def save_stats(stats: SourceStats, path) -> None:
 
 
 def load_stats(path, expected_model_hash: str | None = None) -> SourceStats:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read stats file: {exc}") from exc
     off = 0
 
     def read(n: int) -> bytes:

@@ -416,11 +416,11 @@ def gradient_suite(
         if attempts > 20 * n_episodes:
             raise RuntimeError("could not sample kink-free gradient-check episodes")
         prompts = PromptState(cfg, seed=int(rng.integers(0, 2**31)))
-        for p in prompts.all_parameters():
+        for p in prompts.parameters():
             p.data = rng.normal(0.0, 0.2, p.data.shape)
         image = rng.normal(0.0, 1.0, (cfg.channels, cfg.image_size, cfg.image_size))
         views = generate_views(image, n_views, int(rng.integers(0, 2**31))).views
-        params = prompts.all_parameters()
+        params = prompts.parameters()
         layers = tuple(range(1, cfg.n_vision_layers + 1))
 
         # Fix the kept set at the base point and reject borderline rankings or

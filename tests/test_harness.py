@@ -322,16 +322,35 @@ def test_cli_eval_without_stats_exits_2(cli_workspace, capsys):
     (["--lr", "inf"], ""),
     ([], "crop_min_scale=0"),
     ([], "crop_min_scale=1.5"),
+    # malformed values, unknown keys and values TTAConfig refuses, from the
+    # file, a flag or ablate --values
+    ([], "n_views=abc"),
+    ([], "n_view=1"),
+    ([], "mode=bogus"),
+    ([], "update_coupling=maybe"),
+    ([], "align_layers=1,x"),
+    ([], "seed=x"),
+    ([], "shift=gamma"),
+    (["--align-layers", "1,x"], ""),
+    (["--n-views", "2.5"], ""),
+    (["--beta", "ten"], ""),
+    (["--tta-mode", "bogus"], ""),
+    (["--optimizer", "lion"], ""),
+    (["--axis", "beta", "--values", "0,x"], ""),
+    (["--axis", "align_layers", "--values", "1+x"], ""),
+    (["--axis", "n_views", "--values", "4,8.5"], ""),
 ])
 def test_cli_invalid_tta_config_exits_2(cli_workspace, tmp_path, capsys, flags, cfg_line):
     ws = cli_workspace
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(ws["cfg"].read_text() + cfg_line + "\n")
+    command = "ablate" if "--axis" in flags else "eval"
     rc = cli_main(["--config", str(cfg), "--out", str(tmp_path / "e"),
-                   "eval", "--ckpt", str(ws["ckpt"]), "--data", str(ws["data"] / "test"),
+                   command, "--ckpt", str(ws["ckpt"]), "--data", str(ws["data"] / "test"),
                    "--stats", str(ws["stats"]), "--limit", "1", *flags])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_cli_eval_writes_report(cli_workspace):
@@ -401,3 +420,160 @@ def test_cli_dataset_files_exist(cli_workspace):
     for split in ("source", "val", "test"):
         for name in ("meta.txt", "images.f32", "labels.u32"):
             assert (ws["data"] / split / name).exists()
+
+
+# -- config parsing: one path for file values, flags and ablate --values -----------------
+
+
+class _Captured(Exception):
+    """Raised by a stand-in for the run so a test can read what the CLI built."""
+
+
+def _captured_call(monkeypatch, ws, tmp_path, name, argv_head, argv_tail, cfg_lines=()):
+    """Run the CLI with ``harness.<name>`` replaced; return its arguments."""
+    seen = {}
+
+    def stand_in(*args, **kwargs):
+        seen["args"] = args
+        raise _Captured
+
+    monkeypatch.setattr(harness, name, stand_in)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(ws["cfg"].read_text() + "".join(line + "\n" for line in cfg_lines))
+    command = "eval" if name == "run_eval" else "ablate"
+    with pytest.raises(_Captured):
+        cli_main([*argv_head, "--config", str(cfg), "--out", str(tmp_path / "o"), command,
+                  "--ckpt", str(ws["ckpt"]), "--data", str(ws["data"] / "test"),
+                  "--stats", str(ws["stats"]), *argv_tail])
+    return seen["args"]
+
+
+# The workspace config sets n_views=6 and learning_rate=0.005; every case
+# below lists the TTAConfig fields it expects beyond those.
+@pytest.mark.parametrize("cfg_lines, head, tail, expect", [
+    ((), [], [], {}),
+    ((), [], ["--beta", "10"], {"beta": 10.0}),
+    ((), [], ["--n-views", "8"], {"n_views": 8}),
+    ((), [], ["--filter-ratio", "0.25"], {"filter_ratio": 0.25}),
+    ((), [], ["--lr", "0.01"], {"learning_rate": 0.01}),
+    ((), [], ["--learning-rate", "0.02"], {"learning_rate": 0.02}),
+    ((), [], ["--n-steps", "2"], {"n_steps": 2}),
+    ((), [], ["--align-layers", "1,3"], {"align_layers": (1, 3)}),
+    ((), [], ["--align-loss", "cmd-3"], {"align_loss": "cmd-3"}),
+    ((), [], ["--tta-mode", "continuous"], {"mode": "continuous"}),
+    ((), [], ["--prompt-reg-lambda", "0.1"], {"prompt_reg_lambda": 0.1}),
+    ((), [], ["--optimizer", "sgd"], {"optimizer": "sgd"}),
+    ((), [], ["--weight-decay", "0.01"], {"weight_decay": 0.01}),
+    ((), [], ["--freeze-coupling"], {"update_coupling": False}),
+    ((), [], ["--include-cls-in-stats"], {"include_cls_in_stats": True}),
+    ((), ["--seed", "5"], [], {"seed": 5}),
+    (("beta=10",), [], [], {"beta": 10.0}),
+    (("n_views=8",), [], [], {"n_views": 8}),
+    (("filter_ratio=0.5",), [], [], {"filter_ratio": 0.5}),
+    (("learning_rate=1e-3",), [], [], {"learning_rate": 1e-3}),
+    (("n_steps=0",), [], [], {"n_steps": 0}),
+    (("align_layers=2",), [], [], {"align_layers": (2,)}),
+    (("align_loss=kl",), [], [], {"align_loss": "kl"}),
+    (("mode=continuous",), [], [], {"mode": "continuous"}),
+    (("prompt_reg_lambda=2",), [], [], {"prompt_reg_lambda": 2.0}),
+    (("optimizer=sgd",), [], [], {"optimizer": "sgd"}),
+    (("weight_decay=0.5",), [], [], {"weight_decay": 0.5}),
+    (("seed=3",), [], [], {"seed": 3}),
+    (("update_coupling=off",), [], [], {"update_coupling": False}),
+    (("include_cls_in_stats=yes",), [], [], {"include_cls_in_stats": True}),
+    (("crop_min_scale=0.5",), [], [], {"crop_min_scale": 0.5}),
+    # flags override the file
+    (("beta=10",), [], ["--beta", "20"], {"beta": 20.0}),
+    (("align_layers=1,2,3",), [], ["--align-layers", "2"], {"align_layers": (2,)}),
+    (("seed=3",), ["--seed", "5"], [], {"seed": 5}),
+    (("update_coupling=true",), [], ["--freeze-coupling"], {"update_coupling": False}),
+    (("mode=continuous",), [], ["--tta-mode", "episodic"], {"mode": "episodic"}),
+])
+def test_cli_tta_config_from_file_and_flags(
+    cli_workspace, tmp_path, monkeypatch, cfg_lines, head, tail, expect
+):
+    args = _captured_call(monkeypatch, cli_workspace, tmp_path, "run_eval", head, tail, cfg_lines)
+    config = args[3]
+    want = tl.TTAConfig(**{"n_views": 6, "learning_rate": 0.005, **expect})
+    assert config == want
+    for f in dataclasses.fields(want):
+        assert type(getattr(config, f.name)) is type(getattr(want, f.name)), f.name
+    assert all(type(x) is int for x in config.align_layers)
+
+
+ABLATE_VALUES = {
+    "beta": ("0,1.5,100", [0.0, 1.5, 100.0]),
+    "n_views": ("4,8", [4, 8]),
+    "n_steps": ("0,2", [0, 2]),
+    "align_loss": ("l1,cmd-4", ["l1", "cmd-4"]),
+    "align_layers": ("1+2+3,2", [(1, 2, 3), (2,)]),
+    "mode": ("episodic,continuous", ["episodic", "continuous"]),
+    "prompt_reg_lambda": ("0,0.5", [0.0, 0.5]),
+}
+
+
+@pytest.mark.parametrize("axis", harness.ABLATION_AXES)
+def test_cli_ablate_values_parse(cli_workspace, tmp_path, monkeypatch, axis):
+    raw, want = ABLATE_VALUES[axis]
+    args = _captured_call(monkeypatch, cli_workspace, tmp_path, "run_ablation", [],
+                          ["--axis", axis, "--values", raw])
+    assert args[4] == axis
+    values = args[5]
+    assert values == want
+    assert [type(v) for v in values] == [type(w) for w in want]
+    for v, w in zip(values, want):
+        if isinstance(w, tuple):
+            assert [type(x) for x in v] == [type(x) for x in w]
+
+
+@pytest.mark.parametrize("head, tail", [
+    (["--seed", "x"], []),
+    ([], ["--n-source", "x"]),
+    ([], ["--noise-sigma", "loud"]),
+])
+def test_cli_gen_data_bad_value_exits_2(cli_workspace, tmp_path, capsys, head, tail):
+    rc = cli_main([*head, "--config", str(cli_workspace["cfg"]), "--out", str(tmp_path / "d"),
+                   "gen-data", *tail])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["gen-data", "pretrain", "grad-check"])
+def test_cli_omitted_seed_is_seed_0(cli_workspace, tmp_path, capsys, command):
+    ws = cli_workspace
+    tail = {
+        "gen-data": ["gen-data"],
+        "pretrain": ["pretrain", "--data", str(ws["data"] / "source"), "--epochs", "1"],
+        "grad-check": ["grad-check", "--episodes", "1"],
+    }[command]
+    runs = []
+    for tag, seed_flags in (("omitted", []), ("zero", ["--seed", "0"])):
+        out = tmp_path / tag
+        rc = cli_main([*seed_flags, "--config", str(ws["cfg"]), "--out", str(out), *tail])
+        assert rc == 0
+        printed = capsys.readouterr().out.replace(str(out), "<out>")
+        runs.append((printed, _tree_bytes(out)))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("missing", ["ckpt", "stats", "images.f32", "labels.u32"])
+def test_cli_missing_artifact_exits_2(cli_workspace, tmp_path, capsys, missing):
+    ws = cli_workspace
+    data = tmp_path / "test"
+    data.mkdir()
+    for name in ("meta.txt", "images.f32", "labels.u32"):
+        if name != missing:
+            (data / name).write_bytes((ws["data"] / "test" / name).read_bytes())
+    ckpt = tmp_path / "none.bin" if missing == "ckpt" else ws["ckpt"]
+    stats = tmp_path / "none.bin" if missing == "stats" else ws["stats"]
+    rc = cli_main(["--config", str(ws["cfg"]), "--out", str(tmp_path / "e"),
+                   "eval", "--ckpt", str(ckpt), "--data", str(data), "--stats", str(stats),
+                   "--limit", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err

@@ -105,7 +105,7 @@ def test_prompt_gradient_flows_and_matches_fd():
     Tensor_probe = ad.Tensor(probe)
     grads = ad.backward(scalar())
     assert any(np.abs(grads[p]).max() > 1e-12 for p in prompts.text_prompts)
-    err = ad.grad_check(scalar, prompts.all_parameters(), step=1e-5)
+    err = ad.grad_check(scalar, prompts.parameters(), step=1e-5)
     assert err < 1e-4
 
 
@@ -229,11 +229,11 @@ def test_couple_gradients():
 
 def test_prompt_reset_is_bit_exact():
     prompts = tl.PromptState(CFG, seed=3)
-    before = prompts.state_arrays()
-    for p in prompts.all_parameters():
+    before = [p.data.copy() for p in prompts.parameters()]
+    for p in prompts.parameters():
         p.data += 0.123
     prompts.reset()
-    for arr, p in zip(before, prompts.all_parameters()):
+    for arr, p in zip(before, prompts.parameters()):
         assert np.array_equal(arr, p.data)
 
 

@@ -81,7 +81,7 @@ def test_view_stats_gradients_match_fd(tiny_model):
             total = term if total is None else total + term
         return total
 
-    err = ad.grad_check(scalar, prompts.all_parameters(), step=1e-5)
+    err = ad.grad_check(scalar, prompts.parameters(), step=1e-5)
     assert err < 1e-4
 
 
@@ -164,16 +164,6 @@ def test_source_stats_duplication_invariant(tiny_model):
     for l in range(once.n_layers):
         npt.assert_allclose(once.mu[l], twice.mu[l], atol=1e-12)
         npt.assert_allclose(once.var[l], twice.var[l], atol=1e-12)
-
-
-def test_source_stats_batch_size_bit_identical(tiny_model):
-    rng = np.random.default_rng(9)
-    images = rng.normal(size=(7, 1, 16, 16))
-    a = st.source_stats(images, tiny_model, batch_size=1)
-    b = st.source_stats(images, tiny_model, batch_size=32)
-    for l in range(a.n_layers):
-        assert np.array_equal(a.mu[l], b.mu[l])
-        assert np.array_equal(a.var[l], b.var[l])
 
 
 def test_source_stats_empty_rejected(tiny_model):

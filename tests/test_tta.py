@@ -390,7 +390,7 @@ def test_sgd_small_step_descends(tiny_model, tiny_stats, tiny_data):
             )
             return tl.combined_loss(l_ent, l_align, 100.0)
 
-        params = prompts.all_parameters()
+        params = prompts.parameters()
         pre = loss()
         ad.backward(pre)
         SGD(params, lr=1e-6).step()
@@ -470,7 +470,7 @@ def test_split_step_matches_full_tape(tiny_model, tiny_stats, tiny_data,
         assert abs(ep.entropy_losses[0] - l_ent) <= 1e-12 * max(1.0, abs(l_ent))
         assert abs(ep.align_losses[0] - l_align) <= 1e-12 * max(1.0, abs(l_align))
         # backward leaves each prompt's step gradient in .grad, frozen couplers included
-        for ref, p in zip(ref_prompts.all_parameters(), prompts.all_parameters()):
+        for ref, p in zip(ref_prompts.parameters(), prompts.parameters()):
             scale = np.max(np.abs(grads[ref]))
             assert scale > 0.0
             assert np.max(np.abs(p.grad - grads[ref])) <= 1e-10 * scale
@@ -486,10 +486,10 @@ def test_continuous_huge_lambda_pins_prompts(tiny_model, tiny_stats, tiny_data):
     prompts = tl.PromptState(tiny_model.config, seed=0)
     images = test.images[:3].astype(np.float64)
     for i, img in enumerate(images):
-        before = [p.data.copy() for p in prompts.all_parameters()]
+        before = [p.data.copy() for p in prompts.parameters()]
         tl.adapt_and_predict(img, tiny_model, prompts, tiny_stats, config, view_seed=i)
         change = max(
-            np.abs(p.data - b).max() for p, b in zip(prompts.all_parameters(), before)
+            np.abs(p.data - b).max() for p, b in zip(prompts.parameters(), before)
         )
         assert change < 1e-4
 
@@ -513,13 +513,13 @@ def test_continuous_stream_drifts_from_init(tiny_model, tiny_stats, tiny_data):
     config = tl.TTAConfig(beta=100.0, n_views=4, mode="continuous",
                           learning_rate=5e-3, seed=6)
     prompts = tl.PromptState(tiny_model.config, seed=0)
-    init = prompts.state_arrays()
+    init = [p.data.copy() for p in prompts.parameters()]
     distances = []
     for i in range(20):
         img = test.images[i % test.meta.n_samples].astype(np.float64)
         tl.adapt_and_predict(img, tiny_model, prompts, tiny_stats, config, view_seed=i)
         dist = sum(
-            float(np.linalg.norm(p.data - a)) for p, a in zip(prompts.all_parameters(), init)
+            float(np.linalg.norm(p.data - a)) for p, a in zip(prompts.parameters(), init)
         )
         distances.append(dist)
     for i in range(1, 5):
@@ -563,3 +563,11 @@ def test_config_validation():
         with pytest.raises(ConfigurationError):
             tl.TTAConfig(**kwargs)
     tl.TTAConfig(crop_min_scale=1.0, align_layers=(2,))
+    bad_model = [
+        {"n_heads": 0}, {"image_size": 0}, {"patch_size": -8}, {"n_vision_layers": 0},
+        {"n_prompt_tokens": 0}, {"mlp_ratio": 0},
+        {"temperature": 0.0}, {"temperature": -1.0}, {"temperature": float("nan")},
+    ]
+    for kwargs in bad_model:
+        with pytest.raises(ConfigurationError):
+            tl.ModelConfig(**kwargs)
