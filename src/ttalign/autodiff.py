@@ -284,20 +284,35 @@ def plogp(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs matrices, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
+    return linear(a, b)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w`` over stacked matrices, plus ``b`` if given, as one tape node.
+
+    The bias is added in place to the product. That gives the same bits as a
+    separate ``add`` node, and each gradient is computed as that node and the
+    product would compute it.
+    """
+    if x.ndim < 2 or w.ndim < 2:
+        raise ShapeError(f"matmul needs matrices, got {x.shape} @ {w.shape}")
+    if x.shape[-1] != w.shape[-2]:
+        raise ShapeError(f"matmul inner dimensions differ: {x.shape} @ {w.shape}")
+    out = np.matmul(x.data, w.data)
+    if b is not None:
+        out += b.data
 
     def vjp(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-        return ga, gb
+        gx = gw = gb = None
+        if x.requires_grad:
+            gx = _unbroadcast(np.matmul(g, np.swapaxes(w.data, -1, -2)), x.shape)
+        if w.requires_grad:
+            gw = _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape)
+        if b is not None and b.requires_grad:
+            gb = _unbroadcast(g, b.shape)
+        return gx, gw, gb
 
-    return _node(np.matmul(a.data, b.data), (a, b), vjp)
+    return _node(out, (x, w) if b is None else (x, w, b), vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -442,17 +457,38 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Tanh-approximation GELU."""
+    """Tanh-approximation GELU.
+
+    0.5 * x * (1 + tanh(c * (x + 0.044715 * x^3))), evaluated in that order
+    (so the bits equal the plain expression's) into reused buffers;
+    ``empty_like`` keeps 0-d inputs as arrays that ``out=`` can write to.
+    """
     x = a.data
-    x2 = x * x
-    inner = _GELU_C * (x + 0.044715 * x2 * x)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    t = np.multiply(x, x, out=np.empty_like(x))
+    t *= 0.044715
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = np.multiply(x, 0.5, out=np.empty_like(x))
+    out *= np.add(t, 1.0, out=np.empty_like(x))
 
     def vjp(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * 0.044715 * x2)
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-        return (g * d,)
+        # 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * c * (1 + 3 * 0.044715 * x^2)
+        d_inner = np.multiply(x, x, out=np.empty_like(x))
+        d_inner *= 3.0 * 0.044715
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        rest = np.multiply(t, t, out=np.empty_like(x))
+        np.subtract(1.0, rest, out=rest)
+        d = np.multiply(x, 0.5, out=np.empty_like(x))
+        d *= rest
+        d *= d_inner
+        np.add(t, 1.0, out=rest)
+        rest *= 0.5
+        d += rest
+        d *= g
+        return (d,)
 
     return _node(out, (a,), vjp)
 

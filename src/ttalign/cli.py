@@ -4,7 +4,10 @@ Subcommands: gen-data, pretrain, compute-stats, adapt, eval, ablate,
 grad-check. Global flags ``--seed``, ``--config`` (flat key=value file) and
 ``--out``. Precedence: built-in defaults < config file < command-line flags.
 Every value, from the file, a flag or ``ablate --values``, takes the type of
-its field's default in ModelConfig, TTAConfig or GenConfig.
+its field's default in ModelConfig, TTAConfig or GenConfig. Commands that
+load a checkpoint take the model from it: a ModelConfig key that disagrees
+with the checkpoint's, or a dataset whose image size, channels or class names
+differ from the checkpoint's, is an error.
 Exit codes: 0 success; 1 usage error (unknown command or flag, a config
 line without ``=``); 2 bad config key or value, data or compatibility error.
 """
@@ -187,6 +190,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _load_model_and_data(args, kv: dict):
+    """The checkpoint and dataset of a run, checked against each other and
+    against the ModelConfig keys of the config values."""
+    mdl = model_mod.load_checkpoint(args.ckpt)
+    for f in dataclasses.fields(ModelConfig):
+        if f.name in kv and kv[f.name] != getattr(mdl.config, f.name):
+            raise ConfigurationError(
+                f"config sets {f.name}={kv[f.name]!r}, but the checkpoint has "
+                f"{getattr(mdl.config, f.name)!r}"
+            )
+    bundle = harness.load_dataset(args.data)
+    harness.check_dataset_fits(mdl.config, bundle.meta)
+    return mdl, bundle
+
+
 def _load_stats_checked(args, model: DualEncoder, config: TTAConfig):
     if args.stats is None:
         if config.beta > 0.0:
@@ -239,6 +257,7 @@ def _dispatch(args) -> int:
         kv.setdefault("image_size", bundle.meta.height)
         kv.setdefault("channels", bundle.meta.channels)
         mdl = DualEncoder(_build(ModelConfig, kv), seed=seed)
+        harness.check_dataset_fits(mdl.config, bundle.meta)
         history = model_mod.pretrain_backbone(
             mdl, bundle.images, bundle.labels,
             epochs=args.epochs, seed=seed, lr=args.lr, batch_size=args.batch_size,
@@ -254,8 +273,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "compute-stats":
-        mdl = model_mod.load_checkpoint(args.ckpt)
-        bundle = harness.load_dataset(args.data)
+        mdl, bundle = _load_model_and_data(args, kv)
         stats = stats_mod.source_stats(
             bundle.images, mdl,
             max_order=args.max_order,
@@ -270,10 +288,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command in ("adapt", "eval", "ablate"):
-        mdl = model_mod.load_checkpoint(args.ckpt)
+        mdl, bundle = _load_model_and_data(args, kv)
         config = _build(TTAConfig, kv)
         stats = _load_stats_checked(args, mdl, config)
-        bundle = harness.load_dataset(args.data)
 
         if args.command == "adapt":
             idx = args.index

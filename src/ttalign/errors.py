@@ -22,7 +22,8 @@ class DataError(TTAlignError):
 
 
 class CompatibilityError(TTAlignError):
-    """Artifacts were produced by different model weights."""
+    """Artifacts do not belong together: stats of other model weights, or a
+    dataset whose images or classes differ from the model's."""
 
 
 class FormatError(TTAlignError):

@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError, DataError, FormatError
-from .model import DualEncoder, PromptState, predict
+from .errors import CompatibilityError, ContractError, DataError, FormatError
+from .model import DualEncoder, ModelConfig, PromptState, predict
 from .stats import SourceStats
 from .tta import EpisodeResult, TTAConfig, adapt_and_predict, continuous_adapt
 
@@ -224,6 +224,8 @@ def load_dataset(directory) -> DatasetBundle:
         )
     except KeyError as exc:
         raise FormatError(f"meta.txt missing key {exc}") from exc
+    except ValueError as exc:
+        raise FormatError(f"meta.txt has a malformed value: {exc}") from exc
     expect = meta.n_samples * meta.channels * meta.height * meta.width
     if images.size != expect:
         raise FormatError(f"images.f32 holds {images.size} floats, expected {expect}")
@@ -234,6 +236,19 @@ def load_dataset(directory) -> DatasetBundle:
         images=images.reshape(meta.n_samples, meta.channels, meta.height, meta.width),
         labels=labels,
     )
+
+
+def check_dataset_fits(config: ModelConfig, meta: DatasetMeta) -> None:
+    """Raise CompatibilityError unless the dataset has the image size,
+    channels and class names the model was built for."""
+    pairs = (
+        ("image size", (meta.height, meta.width), (config.image_size, config.image_size)),
+        ("channels", meta.channels, config.channels),
+        ("class names", meta.class_names, config.class_names),
+    )
+    wrong = [f"{name} {got} (model: {want})" for name, got, want in pairs if got != want]
+    if wrong:
+        raise CompatibilityError("dataset does not fit the model: " + "; ".join(wrong))
 
 
 # -- evaluation ----------------------------------------------------------------

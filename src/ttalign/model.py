@@ -42,6 +42,9 @@ TEMPLATE_WORDS = ("a", "photo", "of", "a")
 DEFAULT_CLASS_NAMES = (
     "ripple", "checker", "diagonal", "grid", "bands", "waves", "mesh", "stripes",
 )
+# Images per encode_image call when a dataset is forwarded without a tape
+# (predict, source_stats).
+FORWARD_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -119,8 +122,7 @@ class _Linear:
         self.b = Tensor(np.zeros(d_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = ad.matmul(x, self.w)
-        return y + self.b if self.b is not None else y
+        return ad.linear(x, self.w, self.b)
 
     def params(self, prefix: str):
         yield f"{prefix}.w", self.w
@@ -471,15 +473,15 @@ def classify(img_features: Tensor, text_features: Tensor, temperature: float) ->
     return ad.softmax(logits, axis=-1)
 
 
-def predict(model: DualEncoder, images: np.ndarray, prompts: PromptState | None = None,
-            batch_size: int = 64) -> np.ndarray:
+def predict(model: DualEncoder, images: np.ndarray,
+            prompts: PromptState | None = None) -> np.ndarray:
     """Argmax labels for a batch of images, without building a grad graph."""
     images = np.asarray(images, dtype=np.float64)
     out = np.empty(images.shape[0], dtype=np.int64)
     with ad.no_grad():
         text_feats = model.encode_text(prompts=prompts)
-        for lo in range(0, images.shape[0], batch_size):
-            chunk = images[lo : lo + batch_size]
+        for lo in range(0, images.shape[0], FORWARD_CHUNK):
+            chunk = images[lo : lo + FORWARD_CHUNK]
             feats, _ = model.encode_image(chunk, prompts)
             probs = classify(feats, text_feats, model.temperature)
             out[lo : lo + chunk.shape[0]] = np.argmax(probs.data, axis=-1)

@@ -5,8 +5,8 @@ graph from the token matrices a forward pass records at every transformer
 layer: the view axis and the token axis collapse into one channel-wise mean
 and one biased variance vector per layer. The source side (``source_stats``)
 is the same quantity over a whole dataset, computed prompt-free with the
-frozen encoder and accumulated image by image in a fixed order so the result
-is independent of batching.
+frozen encoder in chunks of images and accumulated image by image in dataset
+order, so the result is independent of the chunk size.
 
 Stats file layout (little-endian):
   magic        8 bytes  b"TDSTATS1"
@@ -32,6 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import CompatibilityError, ContractError, DataError, FormatError
+from .model import FORWARD_CHUNK
 
 STATS_MAGIC = b"TDSTATS1"
 
@@ -162,7 +163,9 @@ def source_stats(
 ) -> SourceStats:
     """Offline prompt-free statistics of a dataset under the frozen encoder.
 
-    Images are forwarded one at a time and accumulated in dataset order.
+    Images are forwarded ``FORWARD_CHUNK`` at a time; each image's tokens are
+    then added on their own, in dataset order, so the sums do not depend on
+    the chunking.
     """
     images = np.asarray(images, dtype=np.float64)
     if images.ndim == 3:
@@ -173,12 +176,13 @@ def source_stats(
     idx = model.token_indices(prompted=False, include_cls=include_cls)
     accs: list[RunningMoments] | None = None
     with ad.no_grad():
-        for img in images:
-            _, layer_tokens = model.encode_image(img)
+        for lo in range(0, images.shape[0], FORWARD_CHUNK):
+            _, layer_tokens = model.encode_image(images[lo : lo + FORWARD_CHUNK])
             if accs is None:
                 accs = [RunningMoments(t.shape[-1], max_order) for t in layer_tokens]
             for acc, tokens in zip(accs, layer_tokens):
-                acc.add(tokens.data[:, idx])
+                for image_tokens in tokens.data[:, idx]:
+                    acc.add(image_tokens)
 
     assert accs is not None
     return SourceStats(

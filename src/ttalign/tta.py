@@ -57,6 +57,10 @@ class TTAConfig:
             raise ConfigurationError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}"
             )
+        for name in ("weight_decay", "prompt_reg_lambda"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
         if not 0.0 < self.crop_min_scale <= 1.0:
             raise ConfigurationError(
                 f"crop_min_scale must be in (0, 1], got {self.crop_min_scale}"

@@ -28,6 +28,17 @@ def layernorm_oracle(row, eps=1e-5):
     return [(x - mu) / math.sqrt(var + eps) for x in row]
 
 
+def gelu_reference(x, g):
+    """The tanh-approximation GELU and its input gradient ``g * gelu'(x)``,
+    written out operation by operation."""
+    c = math.sqrt(2.0 / math.pi)
+    x2 = x * x
+    t = np.tanh(c * (x + 0.044715 * x2 * x))
+    out = 0.5 * x * (1.0 + t)
+    d_inner = c * (1.0 + 3.0 * 0.044715 * x2)
+    return out, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
+
+
 # -- forward values -----------------------------------------------------------
 
 
@@ -121,6 +132,20 @@ def test_gelu_gradient_at_one():
     p = Tensor(np.array(1.0), requires_grad=True)
     err = ad.grad_check(lambda: ad.gelu(p), [p], step=1e-6)
     assert err < 1e-6
+
+
+@pytest.mark.parametrize("shape", [(), (4, 7, 9)])
+def test_gelu_bit_identical_to_formula(shape):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=shape) * 3.0
+    g = rng.normal(size=shape)
+    want_out, want_grad = gelu_reference(x, g)
+    p = Tensor(x.copy(), requires_grad=True)
+    out = ad.gelu(p)
+    assert out.shape == shape
+    assert np.array_equal(out.data, want_out)
+    assert np.array_equal(ad.backward(ad.tsum(out * Tensor(g)))[p], want_grad)
+    assert np.array_equal(p.data, x)
 
 
 def test_plogp_zero_convention():
@@ -261,6 +286,10 @@ def test_gradients_matmul_variants():
     q = Tensor(rng.normal(size=(2, 2, 3, 4)), requires_grad=True)
     k = Tensor(rng.normal(size=(2, 2, 3, 4)), requires_grad=True)
     _fd_case("qkT", lambda: ad.tsum(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))), [q, k])
+    # fused linear layer, stacked input and broadcast bias
+    bias = Tensor(rng.normal(size=(2,)), requires_grad=True)
+    _fd_case("linear", lambda: ad.tsum(ad.linear(c, b, bias) * ad.linear(c, b, bias)),
+             [c, b, bias])
 
 
 def test_gradients_shape_ops():
@@ -274,6 +303,38 @@ def test_gradients_shape_ops():
     _fd_case("take1", lambda: ad.tsum(ad.take(a, np.array([2, 2, 0]), axis=1)), [a])
     _fd_case("concat", lambda: ad.tsum(ad.concat([a, a * 2.0], axis=1) * 0.7), [a])
     _fd_case("broadcast", lambda: ad.tsum(ad.broadcast_to(a[:, :1], (2, 5, 4)) * 1.3), [a])
+
+
+# The reference is a matmul node followed by an add node, written in numpy.
+# At (8, 17, 64) a 2-D GEMM over the flattened rows already changes the last
+# bits of the input gradient, so these shapes tell the two apart.
+@pytest.mark.parametrize("x_shape", [(17, 64), (8, 17, 64)])
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("grads", [(x, w, b) for x in (0, 1) for w in (0, 1) for b in (0, 1)])
+def test_linear_bit_identical_to_matmul_add(x_shape, bias, grads):
+    rng = np.random.default_rng(12)
+    xd, wd, bd = rng.normal(size=x_shape), rng.normal(size=(64, 48)), rng.normal(size=(48,))
+    g = rng.normal(size=x_shape[:-1] + (48,))
+    x = Tensor(xd, requires_grad=bool(grads[0]))
+    w = Tensor(wd, requires_grad=bool(grads[1]))
+    b = Tensor(bd, requires_grad=bool(grads[2])) if bias else None
+    out = ad.linear(x, w, b)
+    want = np.matmul(xd, wd) + bd if bias else np.matmul(xd, wd)
+    assert np.array_equal(out.data, want)
+    live = [t for t in (x, w, b) if t is not None and t.requires_grad]
+    assert out.requires_grad == bool(live)
+    if not live:
+        return
+    got = ad.backward(ad.tsum(out * Tensor(g)))
+    gw = np.matmul(np.swapaxes(xd, -1, -2), g)
+    want_grads = {
+        x: np.matmul(g, np.swapaxes(wd, -1, -2)),
+        w: gw.sum(axis=0) if gw.ndim == 3 else gw,
+        b: g.sum(axis=tuple(range(g.ndim - 1))),
+    }
+    assert set(got) == set(live)
+    for t in live:
+        assert np.array_equal(got[t], want_grads[t])
 
 
 def test_gradients_reductions_and_nn_ops():

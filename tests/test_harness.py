@@ -106,6 +106,15 @@ def test_dataset_missing_meta(tmp_path):
         harness.load_dataset(tmp_path)
 
 
+def test_dataset_malformed_meta_value(tmp_path):
+    src, _ = harness.gen_synthetic(TINY_GEN, seed=8)
+    harness.save_dataset(src, tmp_path / "ds")
+    meta = tmp_path / "ds" / "meta.txt"
+    meta.write_text(meta.read_text().replace("n_samples=96", "n_samples=x8"))
+    with pytest.raises(FormatError, match="malformed"):
+        harness.load_dataset(tmp_path / "ds")
+
+
 def test_bundle_invariants():
     meta = harness.DatasetMeta(2, 1, 4, 4, 2, ("a", "b"), "test")
     with pytest.raises(DataError):
@@ -322,6 +331,10 @@ def test_cli_eval_without_stats_exits_2(cli_workspace, capsys):
     (["--lr", "inf"], ""),
     ([], "crop_min_scale=0"),
     ([], "crop_min_scale=1.5"),
+    (["--weight-decay", "-5"], ""),
+    (["--weight-decay", "nan"], ""),
+    (["--prompt-reg-lambda", "-1"], ""),
+    ([], "prompt_reg_lambda=inf"),
     # malformed values, unknown keys and values TTAConfig refuses, from the
     # file, a flag or ablate --values
     ([], "n_views=abc"),
@@ -577,3 +590,86 @@ def test_cli_missing_artifact_exits_2(cli_workspace, tmp_path, capsys, missing):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["compute-stats", "adapt", "eval", "ablate"])
+@pytest.mark.parametrize("mismatch, gen_change", [
+    ("image size", {"image_size": 32}),
+    ("channels", {"channels": 2}),
+    ("class names", {"class_names": ("ripple", "checker", "mesh")}),
+])
+def test_cli_dataset_checkpoint_mismatch_exits_2(
+    cli_workspace, tmp_path, capsys, command, mismatch, gen_change
+):
+    ws = cli_workspace
+    gen = harness.GenConfig(n_source=4, n_test=4, image_size=16,
+                            class_names=("ripple", "checker", "grid"))
+    source, _ = harness.gen_synthetic(dataclasses.replace(gen, **gen_change), seed=0)
+    harness.save_dataset(source, tmp_path / "data")
+    tail = {"compute-stats": [], "adapt": ["--stats", str(ws["stats"])],
+            "eval": ["--stats", str(ws["stats"])],
+            "ablate": ["--stats", str(ws["stats"]), "--axis", "beta", "--values", "0"]}[command]
+    rc = cli_main(["--out", str(tmp_path / "o"), command, "--ckpt", str(ws["ckpt"]),
+                   "--data", str(tmp_path / "data"), *tail])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dataset does not fit the model") and err.count("\n") == 1, err
+    assert mismatch in err
+
+
+def test_cli_pretrain_config_dataset_mismatch_exits_2(cli_workspace, tmp_path, capsys):
+    ws = cli_workspace
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(ws["cfg"].read_text() + "class_names=ripple,checker,mesh\n")
+    rc = cli_main(["--config", str(cfg), "--out", str(tmp_path / "m"), "pretrain",
+                   "--data", str(ws["data"] / "source"), "--epochs", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dataset does not fit the model: class names"), err
+    assert not (tmp_path / "m" / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("command", ["compute-stats", "adapt", "eval", "ablate"])
+@pytest.mark.parametrize("cfg_line, ok", [
+    ("temperature=5", False),
+    ("n_heads=1", False),
+    ("image_size=32", False),
+    ("class_names=ripple,checker,mesh", False),
+    ("temperature=100", True),
+    ("n_heads=2", True),
+])
+def test_cli_model_keys_must_match_checkpoint(cli_workspace, tmp_path, capsys, command,
+                                              cfg_line, ok):
+    ws = cli_workspace
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(ws["cfg"].read_text() + cfg_line + "\n")
+    tail = {"compute-stats": [], "adapt": ["--stats", str(ws["stats"])],
+            "eval": ["--stats", str(ws["stats"]), "--limit", "1"],
+            "ablate": ["--stats", str(ws["stats"]), "--axis", "beta", "--values", "0",
+                       "--limit", "1"]}[command]
+    data = ws["data"] / ("source" if command == "compute-stats" else "test")
+    rc = cli_main(["--config", str(cfg), "--out", str(tmp_path / "o"), command,
+                   "--ckpt", str(ws["ckpt"]), "--data", str(data), *tail])
+    err = capsys.readouterr().err
+    if ok:
+        assert rc == 0, err
+    else:
+        assert rc == 2
+        key = cfg_line.split("=")[0]
+        assert err.startswith(f"error: config sets {key}=") and err.count("\n") == 1, err
+
+
+def test_cli_malformed_meta_exits_2(cli_workspace, tmp_path, capsys):
+    ws = cli_workspace
+    data = tmp_path / "test"
+    data.mkdir()
+    for name in ("images.f32", "labels.u32"):
+        (data / name).write_bytes((ws["data"] / "test" / name).read_bytes())
+    meta = (ws["data"] / "test" / "meta.txt").read_text()
+    (data / "meta.txt").write_text(meta.replace("n_samples=18", "n_samples=x8"))
+    rc = cli_main(["--config", str(ws["cfg"]), "--out", str(tmp_path / "e"),
+                   "eval", "--ckpt", str(ws["ckpt"]), "--data", str(data),
+                   "--stats", str(ws["stats"]), "--limit", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: meta.txt has a malformed value") and err.count("\n") == 1, err

@@ -7,6 +7,7 @@ from ttalign import autodiff as ad
 from ttalign import stats as st
 from ttalign.augment import generate_views
 from ttalign.errors import CompatibilityError, ContractError, DataError, FormatError
+from ttalign.model import FORWARD_CHUNK
 
 
 def two_pass_oracle(values, order=2):
@@ -154,6 +155,28 @@ def test_source_stats_single_image_matches_promptfree_view_stats(tiny_model):
     for l in range(src.n_layers):
         npt.assert_allclose(src.mu[l], vs.mu[l].data, atol=1e-12)
         npt.assert_allclose(src.var[l], vs.var[l].data, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, FORWARD_CHUNK, FORWARD_CHUNK + 6])
+@pytest.mark.parametrize("include_cls", [False, True])
+def test_source_stats_equals_per_image_accumulation(tiny_model, tiny_data, n, include_cls):
+    images = tiny_data[0].images[:n].astype(np.float64)
+    assert images.shape[0] == n
+    idx = tiny_model.token_indices(prompted=False, include_cls=include_cls)
+    accs = None
+    with ad.no_grad():
+        for img in images:
+            _, tokens = tiny_model.encode_image(img)
+            accs = accs or [st.RunningMoments(t.shape[-1], 5) for t in tokens]
+            for acc, t in zip(accs, tokens):
+                acc.add(t.data[:, idx])
+    got = st.source_stats(images, tiny_model, max_order=5, include_cls=include_cls)
+    assert got.sample_count == n
+    for layer, acc in enumerate(accs):
+        assert np.array_equal(got.mu[layer], acc.mean())
+        assert np.array_equal(got.var[layer], acc.variance())
+        for k in range(3, 6):
+            assert np.array_equal(got.moments[k][layer], acc.central(k))
 
 
 def test_source_stats_duplication_invariant(tiny_model):

@@ -558,11 +558,16 @@ def test_config_validation():
         {"learning_rate": 0.0}, {"learning_rate": -1e-3},
         {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
         {"crop_min_scale": 0.0}, {"crop_min_scale": 1.5}, {"crop_min_scale": float("nan")},
+        {"weight_decay": -5.0}, {"weight_decay": float("nan")}, {"weight_decay": float("inf")},
+        {"prompt_reg_lambda": -0.1}, {"prompt_reg_lambda": float("nan")},
+        {"prompt_reg_lambda": float("inf")},
     ]
     for kwargs in bad:
         with pytest.raises(ConfigurationError):
             tl.TTAConfig(**kwargs)
     tl.TTAConfig(crop_min_scale=1.0, align_layers=(2,))
+    tl.TTAConfig(weight_decay=0.0, prompt_reg_lambda=0.0)
+    tl.TTAConfig(weight_decay=0.5, prompt_reg_lambda=2.0)
     bad_model = [
         {"n_heads": 0}, {"image_size": 0}, {"patch_size": -8}, {"n_vision_layers": 0},
         {"n_prompt_tokens": 0}, {"mlp_ratio": 0},
