@@ -331,10 +331,6 @@ def test_cli_eval_without_stats_exits_2(cli_workspace, capsys):
     (["--lr", "inf"], ""),
     ([], "crop_min_scale=0"),
     ([], "crop_min_scale=1.5"),
-    (["--weight-decay", "-5"], ""),
-    (["--weight-decay", "nan"], ""),
-    (["--prompt-reg-lambda", "-1"], ""),
-    ([], "prompt_reg_lambda=inf"),
     # malformed values, unknown keys and values TTAConfig refuses, from the
     # file, a flag or ablate --values
     ([], "n_views=abc"),
@@ -352,6 +348,11 @@ def test_cli_eval_without_stats_exits_2(cli_workspace, capsys):
     (["--axis", "beta", "--values", "0,x"], ""),
     (["--axis", "align_layers", "--values", "1+x"], ""),
     (["--axis", "n_views", "--values", "4,8.5"], ""),
+    # out-of-range regularisation weights, from a flag or the file
+    (["--weight-decay", "-5"], ""),
+    (["--weight-decay", "nan"], ""),
+    (["--prompt-reg-lambda", "-1"], ""),
+    ([], "prompt_reg_lambda=inf"),
 ])
 def test_cli_invalid_tta_config_exits_2(cli_workspace, tmp_path, capsys, flags, cfg_line):
     ws = cli_workspace
