@@ -364,10 +364,9 @@ def getitem(a: Tensor, key) -> Tensor:
 def take(a: Tensor, indices, axis: int = 0) -> Tensor:
     """Gather along ``axis``. Indices may repeat; gradients accumulate."""
     idx = np.asarray(indices, dtype=np.intp)
-    if axis == 0:
-        key = (idx,)
-    else:
-        key = (slice(None),) * axis + (idx,)
+    if not -a.ndim <= axis < a.ndim:
+        raise ShapeError(f"take axis {axis} out of range for shape {a.shape}")
+    key = (slice(None),) * (axis % a.ndim) + (idx,)
 
     def vjp(g):
         z = np.zeros_like(a.data)
@@ -579,17 +578,49 @@ def grad_check(f, params, step: float = 1e-5) -> float:
     finite differences, over every coordinate of ``params``.
 
     ``f`` must rebuild its graph from the current param values on each call.
+    It is called once per perturbed coordinate, so it may be any scalar
+    function of the params; ``grad_check_many`` is the batched form.
     """
-    return grad_check_many(lambda: {"f": f()}, params, step)["f"]
+    params = list(params)
+    grads = backward(f())
+    errors = []
+    with no_grad():
+        for p in params:
+            fd = np.empty(p.size)
+            flat = p.data.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                try:
+                    flat[i] = orig + step
+                    fp = float(f().data)
+                    flat[i] = orig - step
+                    fm = float(f().data)
+                finally:
+                    flat[i] = orig
+                fd[i] = (fp - fm) / (2.0 * step)
+            analytic = grads.get(p, np.zeros_like(p.data))
+            errors.append(_relative_error(analytic, fd.reshape(p.shape)))
+    return max(errors)
+
+
+# Coordinates perturbed per call of ``f`` in ``grad_check_many``: each takes
+# two stacked parameter sets (+step and -step).
+FD_CHUNK = 8
 
 
 def grad_check_many(f, params, step: float = 1e-5, denom_floor=None) -> dict[str, float]:
     """Like ``grad_check`` for an ``f()`` returning a dict of scalar losses.
 
-    All losses share each finite-difference evaluation, which makes checking
-    a family of losses over the same forward pass much cheaper than checking
-    them one by one. ``denom_floor`` may be a float or a per-loss dict; see
-    ``_relative_error``.
+    All losses share each finite-difference evaluation, and each evaluation
+    covers ``FD_CHUNK`` coordinates at once (fewer in the last chunk): every
+    param holds a leading set axis of two stacked copies of its base value
+    per coordinate, where set 2r is the r-th coordinate of the chunk at
+    ``+step`` and set 2r+1 the same coordinate at ``-step``. So ``f`` must
+    accept params with a leading set axis and then return one loss per set
+    (shape (S,)); called on the unstacked params, it returns scalars, from
+    which the analytic gradients are taken. The params hold their base data
+    again when this returns or raises. ``denom_floor`` may be a float or a
+    per-loss dict; see ``_relative_error``.
     """
     params = list(params)
     names = list(f().keys())
@@ -604,18 +635,27 @@ def grad_check_many(f, params, step: float = 1e-5, denom_floor=None) -> dict[str
         analytic[name] = [grads.get(p, np.zeros_like(p.data)) for p in params]
 
     fds = {name: [np.empty(p.size) for p in params] for name in names}
-    with no_grad():
-        for j, p in enumerate(params):
-            flat = p.data.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + step
-                fp = {k: float(v.data) for k, v in f().items()}
-                flat[i] = orig - step
-                fm = {k: float(v.data) for k, v in f().items()}
-                flat[i] = orig
-                for name in names:
-                    fds[name][j][i] = (fp[name] - fm[name]) / (2.0 * step)
+    coords = [(j, i) for j, p in enumerate(params) for i in range(p.size)]
+    base = [p.data for p in params]
+    try:
+        with no_grad():
+            for lo in range(0, len(coords), FD_CHUNK):
+                chunk = coords[lo : lo + FD_CHUNK]
+                sets = [np.repeat(b.reshape(1, -1), 2 * len(chunk), axis=0) for b in base]
+                for r, (j, i) in enumerate(chunk):
+                    orig = base[j].reshape(-1)[i]
+                    sets[j][2 * r, i] = orig + step
+                    sets[j][2 * r + 1, i] = orig - step
+                for p, b, stacked in zip(params, base, sets):
+                    p.data = stacked.reshape((-1,) + b.shape)
+                values = {k: v.data for k, v in f().items()}
+                for r, (j, i) in enumerate(chunk):
+                    for name in names:
+                        v = values[name]
+                        fds[name][j][i] = (v[2 * r] - v[2 * r + 1]) / (2.0 * step)
+    finally:
+        for p, b in zip(params, base):
+            p.data = b
 
     return {
         name: max(

@@ -212,6 +212,8 @@ def load_dataset(directory) -> DatasetBundle:
         labels = np.fromfile(os.path.join(directory, "labels.u32"), dtype="<u4")
     except OSError as exc:
         raise FormatError(f"cannot read dataset {directory}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"meta.txt is not UTF-8: {exc}") from exc
     try:
         meta = DatasetMeta(
             n_samples=int(kv["n_samples"]),
@@ -226,6 +228,10 @@ def load_dataset(directory) -> DatasetBundle:
         raise FormatError(f"meta.txt missing key {exc}") from exc
     except ValueError as exc:
         raise FormatError(f"meta.txt has a malformed value: {exc}") from exc
+    if meta.n_classes != len(meta.class_names):
+        raise FormatError(
+            f"meta.txt n_classes={meta.n_classes} but it names {len(meta.class_names)} classes"
+        )
     expect = meta.n_samples * meta.channels * meta.height * meta.width
     if images.size != expect:
         raise FormatError(f"images.f32 holds {images.size} floats, expected {expect}")

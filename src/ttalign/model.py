@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigurationError, ContractError, DataError, FormatError
+from .errors import ConfigurationError, ContractError, DataError, FormatError, ShapeError
 from .optim import AdamW
 
 CHECKPOINT_MAGIC = b"DUALENC1"
@@ -200,6 +200,8 @@ class PromptState:
     """The test-time learnable state: per-layer text prompts plus the linear
     maps deriving the vision prompts from them.
 
+    Every tensor may carry a leading set axis of S prompt sets, (S, t, d_t)
+    and (S, d_t, d_v); one forward then evaluates all S sets (``prompt_sets``).
     ``reset()`` restores every parameter bit-exactly to its value at
     construction, which is what makes per-sample adaptation episodic.
     """
@@ -235,12 +237,42 @@ class PromptState:
 
 
 def couple(text_prompt: Tensor, coupling: Tensor) -> Tensor:
-    """Map text prompt tokens into the vision token space (linear, per layer)."""
-    if text_prompt.shape[-1] != coupling.shape[0]:
+    """Map text prompt tokens into the vision token space (linear, per layer,
+    and per set when both carry a set axis)."""
+    if text_prompt.shape[-1] != coupling.shape[-2]:
         raise ConfigurationError(
             f"coupling dims mismatch: prompts {text_prompt.shape} vs map {coupling.shape}"
         )
     return ad.matmul(text_prompt, coupling)
+
+
+def prompt_sets(prompts: PromptState | None) -> int | None:
+    """S when every prompt tensor carries a set axis of length S, None when
+    none does (or there are no prompts); any other mix raises ShapeError."""
+    if prompts is None:
+        return None
+    params = prompts.parameters()
+    lead = {p.shape[0] if p.ndim == 3 else None for p in params}
+    if len(lead) != 1 or any(p.ndim not in (2, 3) for p in params):
+        raise ShapeError(
+            "prompt tensors mix set axes: " + ", ".join(str(p.shape) for p in params)
+        )
+    return lead.pop()
+
+
+def _prompt_rows(prompt: Tensor, rows: int, sets: int | None) -> Tensor:
+    """Prompt tokens for a batch of ``rows`` token matrices: (t, d) repeated
+    for every row, or (S, t, d) repeated for every row of its own set, where
+    the rows are set-major (rows = S * B)."""
+    if sets is None:
+        t, d = prompt.shape
+        return ad.broadcast_to(ad.reshape(prompt, (1, t, d)), (rows, t, d))
+    return ad.take(prompt, np.repeat(np.arange(sets), rows // sets), axis=0)
+
+
+def _unfold_sets(x: Tensor, sets: int) -> Tensor:
+    """(S * B, ...) set-major rows -> (S, B, ...)."""
+    return ad.reshape(x, (sets, x.shape[0] // sets) + x.shape[1:])
 
 
 # -- encoders ----------------------------------------------------------------
@@ -368,15 +400,18 @@ class DualEncoder:
     def embed_image(self, images: np.ndarray, prompts: PromptState | None = None) -> Tensor:
         """Token matrix entering the first block for a batch (B, C, H, W):
         CLS, then the layer-0 vision prompts if ``prompts`` is given, then the
-        patch tokens."""
-        b = images.shape[0]
+        patch tokens. With S prompt sets the batch repeats once per set, as
+        S * B set-major rows."""
         d = self.config.embed_dim_v
-        v = self.config.n_prompt_tokens
+        sets = prompt_sets(prompts)
         tokens = self.patch_embed(images)
+        if sets is not None:
+            tokens = ad.concat([tokens] * sets, axis=0)
+        b = tokens.shape[0]
         cls = ad.broadcast_to(ad.reshape(self.vision.cls + self.vision.pos[0], (1, 1, d)), (b, 1, d))
         if prompts is None:
             return ad.concat([cls, tokens], axis=1)
-        pv = ad.broadcast_to(ad.reshape(prompts.vision_prompt(0), (1, v, d)), (b, v, d))
+        pv = _prompt_rows(prompts.vision_prompt(0), b, sets)
         return ad.concat([cls, pv, tokens], axis=1)
 
     def run_blocks(self, x: Tensor, lo: int, hi: int, prompts: PromptState | None = None):
@@ -386,12 +421,12 @@ class DualEncoder:
         tokens with its own layer's vision prompts. Returns the output tokens
         and the list of each block's output.
         """
-        b, _, d = x.shape
+        sets = prompt_sets(prompts)
         v = self.config.n_prompt_tokens
         layer_tokens: list[Tensor] = []
         for i in range(lo, hi):
             if prompts is not None and 1 <= i < self.config.prompt_depth:
-                pv = ad.broadcast_to(ad.reshape(prompts.vision_prompt(i), (1, v, d)), (b, v, d))
+                pv = _prompt_rows(prompts.vision_prompt(i), x.shape[0], sets)
                 x = ad.concat([x[:, :1], pv, x[:, 1 + v :]], axis=1)
             x = self.vision.blocks[i](x)
             layer_tokens.append(x)
@@ -405,18 +440,23 @@ class DualEncoder:
         """Encode one image or a batch of views.
 
         Returns (features, layer_tokens): the L2-normalized projected CLS
-        feature per image, and each transformer layer's full output token
-        matrix (used for the token-distribution statistics).
+        feature per image, (B, f), and each transformer layer's full output
+        token matrix, (B, T, d) (used for the token-distribution statistics).
+        With S prompt sets they are (S, B, f) and (S, B, T, d).
         """
         single = np.ndim(image) == 3
         imgs = np.asarray(image, dtype=np.float64)
         if single:
             imgs = imgs[None]
+        sets = prompt_sets(prompts)
         x = self.embed_image(imgs, prompts)
         x, layer_tokens = self.run_blocks(x, 0, self.config.n_vision_layers, prompts)
         feat = self.image_head(x)
+        if sets is not None:
+            feat = _unfold_sets(feat, sets)
+            layer_tokens = [_unfold_sets(t, sets) for t in layer_tokens]
         if single:
-            feat = feat[0]
+            feat = feat[0] if sets is None else feat[:, 0]
         return feat, layer_tokens
 
     # -- text branch ----------------------------------------------------------
@@ -424,7 +464,8 @@ class DualEncoder:
     def encode_text(self, class_id: int | None = None, prompts: PromptState | None = None) -> Tensor:
         """Encode one class (``class_id``) or all classes (``None``).
 
-        The feature is the projected, L2-normalized <eos>-position token.
+        The feature is the projected, L2-normalized <eos>-position token:
+        (C, f), or (S, C, f) with S prompt sets; one class drops the C axis.
         """
         if class_id is None:
             ids = self._class_ids
@@ -432,25 +473,31 @@ class DualEncoder:
             if not 0 <= class_id < self.config.n_classes:
                 raise ContractError(f"unknown class id {class_id}")
             ids = self._class_ids[class_id : class_id + 1]
-        b = ids.shape[0]
-        d = self.config.embed_dim_t
         t = self.config.n_prompt_tokens
+        sets = prompt_sets(prompts)
 
         emb = ad.take(self.text.token_table, ids, axis=0) + self.text.pos
+        if sets is not None:
+            emb = ad.concat([emb] * sets, axis=0)
+        b = emb.shape[0]
         if prompts is not None:
-            pt = ad.broadcast_to(ad.reshape(prompts.text_prompts[0], (1, t, d)), (b, t, d))
+            pt = _prompt_rows(prompts.text_prompts[0], b, sets)
             x = ad.concat([emb[:, :1], pt, emb[:, 1:]], axis=1)
         else:
             x = emb
 
         for i, blk in enumerate(self.text.blocks):
             if prompts is not None and 1 <= i < self.config.prompt_depth:
-                pt = ad.broadcast_to(ad.reshape(prompts.text_prompts[i], (1, t, d)), (b, t, d))
+                pt = _prompt_rows(prompts.text_prompts[i], b, sets)
                 x = ad.concat([x[:, :1], pt, x[:, 1 + t :]], axis=1)
             x = blk(x)
 
         feat = ad.l2_normalize(ad.matmul(self.text.ln_final(x[:, -1]), self.text.proj))
-        return feat[0] if class_id is not None else feat
+        if sets is not None:
+            feat = _unfold_sets(feat, sets)
+        if class_id is None:
+            return feat
+        return feat[0] if sets is None else feat[:, 0]
 
     # -- token layout -----------------------------------------------------------
 
@@ -467,9 +514,12 @@ def classify(img_features: Tensor, text_features: Tensor, temperature: float) ->
     """Class probabilities: softmax over temperature-scaled cosine similarities.
 
     Both feature sets must already be L2-normalized; inputs are (B, d) and
-    (C, d), output is (B, C) with rows summing to 1.
+    (C, d), output is (B, C) with rows summing to 1. With S prompt sets they
+    are (S, B, d) and (S, C, d), and the output is (S, B, C).
     """
-    logits = ad.matmul(img_features, ad.transpose(text_features, (1, 0))) * float(temperature)
+    lead = tuple(range(text_features.ndim - 2))
+    axes = lead + (text_features.ndim - 1, text_features.ndim - 2)
+    logits = ad.matmul(img_features, ad.transpose(text_features, axes)) * float(temperature)
     return ad.softmax(logits, axis=-1)
 
 
@@ -592,25 +642,34 @@ def load_checkpoint(path) -> DualEncoder:
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<I", read(4))
-    cfg_dict = json.loads(bytes(read(cfg_len)).decode())
-    cfg_dict["class_names"] = tuple(cfg_dict["class_names"])
-    config = ModelConfig(**cfg_dict)
+    try:
+        cfg_dict = json.loads(bytes(read(cfg_len)).decode())
+        cfg_dict["class_names"] = tuple(cfg_dict["class_names"])
+        config = ModelConfig(**cfg_dict)
+    except (ValueError, TypeError, KeyError) as exc:
+        # ValueError covers undecodable bytes and malformed JSON; TypeError an
+        # unknown key or a non-object; KeyError a missing class list.
+        raise FormatError(f"bad checkpoint config: {type(exc).__name__}: {exc}") from exc
 
     model = DualEncoder(config, seed=0)
     named = dict(model.named_parameters())
     (count,) = struct.unpack("<I", read(4))
     if count != len(named):
         raise FormatError(f"checkpoint holds {count} arrays, model needs {len(named)}")
+    loaded: set[str] = set()
     for _ in range(count):
         (name_len,) = struct.unpack("<H", read(2))
-        name = bytes(read(name_len)).decode()
-        (ndim,) = struct.unpack("<I", read(4))
-        dims = struct.unpack(f"<{ndim}Q", read(8 * ndim))
-        data = np.frombuffer(read(8 * int(np.prod(dims))), dtype="<f8").reshape(dims)
+        name = bytes(read(name_len)).decode(errors="replace")
         if name not in named:
             raise FormatError(f"unknown array {name!r} in checkpoint")
-        if named[name].shape != tuple(dims):
+        if name in loaded:
+            raise FormatError(f"array {name!r} appears twice in checkpoint")
+        loaded.add(name)
+        (ndim,) = struct.unpack("<I", read(4))
+        dims = struct.unpack(f"<{ndim}Q", read(8 * ndim))
+        if named[name].shape != dims:
             raise FormatError(f"array {name!r} has shape {dims}, expected {named[name].shape}")
+        data = np.frombuffer(read(8 * named[name].size), dtype="<f8").reshape(dims)
         named[name].data = data.astype(np.float64).copy()
     if off != len(view):
         raise FormatError("trailing bytes after checkpoint payload")

@@ -126,7 +126,8 @@ def view_stats(layer_tokens, token_indices, max_order: int = 2) -> LayerStats:
     pass records; ``token_indices`` picks the token positions that contribute
     (patch positions by default upstream). Differentiable w.r.t. anything the
     tokens depend on. ``max_order > 2`` additionally fills biased central
-    moments of orders 3..max_order.
+    moments of orders 3..max_order. Tokens of S prompt sets,
+    (S, n_views, tokens, dim), give (S, dim) statistics, one row per set.
     """
     idx = np.asarray(token_indices, dtype=np.intp)
     if idx.size == 0:
@@ -136,13 +137,15 @@ def view_stats(layer_tokens, token_indices, max_order: int = 2) -> LayerStats:
     mus, variances = [], []
     moments: dict[int, list[Tensor]] = {k: [] for k in range(3, max_order + 1)}
     for x in layer_tokens:
-        sel = ad.take(x, idx, axis=1)
-        mu = sel.mean(axis=(0, 1))
-        dev = sel - mu
+        lead = x.ndim - 3  # 1 with a set axis
+        axes = (lead, lead + 1)
+        sel = ad.take(x, idx, axis=lead + 1)
+        mu = sel.mean(axis=axes)
+        dev = sel - (ad.reshape(mu, (mu.shape[0], 1, 1, -1)) if lead else mu)
         mus.append(mu)
-        variances.append((dev * dev).mean(axis=(0, 1)))
+        variances.append((dev * dev).mean(axis=axes))
         for k in range(3, max_order + 1):
-            moments[k].append(ad.power(dev, k).mean(axis=(0, 1)))
+            moments[k].append(ad.power(dev, k).mean(axis=axes))
     return LayerStats(mu=mus, var=variances, moments=moments)
 
 
@@ -237,9 +240,19 @@ def load_stats(path, expected_model_hash: str | None = None) -> SourceStats:
         raise FormatError("bad stats file magic")
     model_hash = read(32).hex()
     n_layers, dim, max_order = struct.unpack("<III", read(12))
+    if n_layers < 1 or dim < 1 or max_order < 2:
+        raise FormatError(
+            f"bad stats header: n_layers {n_layers}, dim {dim}, max_order {max_order}"
+        )
     (did_len,) = struct.unpack("<I", read(4))
-    dataset_id = read(did_len).decode()
+    try:
+        dataset_id = read(did_len).decode()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"stats dataset id is not UTF-8: {exc}") from exc
     (sample_count,) = struct.unpack("<Q", read(8))
+    body = n_layers * dim * max_order * 8
+    if len(raw) - off != body:
+        raise FormatError(f"stats body holds {len(raw) - off} bytes, header needs {body}")
 
     def read_vec() -> np.ndarray:
         return np.frombuffer(read(8 * dim), dtype="<f8").astype(np.float64)
@@ -251,8 +264,6 @@ def load_stats(path, expected_model_hash: str | None = None) -> SourceStats:
         var.append(read_vec())
         for k in range(3, max_order + 1):
             moments[k].append(read_vec())
-    if off != len(raw):
-        raise FormatError("trailing bytes after stats payload")
 
     stats = SourceStats(
         mu=mu,

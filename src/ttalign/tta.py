@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -139,12 +140,16 @@ def confidence_filter(view_probs: np.ndarray, ratio: float) -> np.ndarray:
 
 
 def entropy_loss(view_probs: Tensor, kept_indices: np.ndarray) -> Tensor:
-    """Entropy of the mean class distribution over the kept views."""
+    """Entropy of the mean class distribution over the kept views.
+
+    ``view_probs`` is (n_views, C), or (S, n_views, C) for S prompt sets,
+    which gives one loss per set, (S,).
+    """
     kept = np.asarray(kept_indices, dtype=np.intp)
     if kept.size == 0:
         raise ContractError("entropy_loss needs at least one kept view")
-    p_bar = ad.take(view_probs, kept, axis=0).mean(axis=0)
-    return -ad.tsum(ad.plogp(p_bar))
+    p_bar = ad.take(view_probs, kept, axis=-2).mean(axis=-2)
+    return -ad.tsum(ad.plogp(p_bar), axis=-1)
 
 
 def align_loss(
@@ -160,7 +165,8 @@ def align_loss(
     kl:    channels treated as univariate Gaussians; forward KL(test || source)
            averaged over channels (variances floored at 1e-12).
     cmd-K: the l1 terms plus |m_k - m_hat_k| for central moments k = 3..K.
-    All variants average over the selected layers.
+    All variants average over the selected layers. Statistics of S prompt
+    sets, (S, dim), give one loss per set, (S,).
     """
     kind, order = parse_align_variant(variant)
     layers = tuple(layers)
@@ -185,25 +191,27 @@ def align_loss(
         mu_t, var_t = test.mu[i], test.var[i]
         mu_s = Tensor(source.mu[i])
         if kind == "l1":
-            term = ad.tsum(ad.absolute(mu_t - mu_s)) + ad.tsum(
-                ad.absolute(var_t - Tensor(source.var[i]))
+            term = ad.tsum(ad.absolute(mu_t - mu_s), axis=-1) + ad.tsum(
+                ad.absolute(var_t - Tensor(source.var[i])), axis=-1
             )
         elif kind == "l2":
             dm = mu_t - mu_s
             dv = var_t - Tensor(source.var[i])
-            term = ad.tsum(dm * dm) + ad.tsum(dv * dv)
+            term = ad.tsum(dm * dm, axis=-1) + ad.tsum(dv * dv, axis=-1)
         elif kind == "kl":
             vt = ad.clip_min(var_t, KL_VAR_FLOOR)
             vs = Tensor(np.maximum(source.var[i], KL_VAR_FLOOR))
             dm = mu_t - mu_s
-            term = ad.tmean(0.5 * (ad.log(vs) - ad.log(vt)) + (vt + dm * dm) / (2.0 * vs) - 0.5)
+            term = ad.tmean(
+                0.5 * (ad.log(vs) - ad.log(vt)) + (vt + dm * dm) / (2.0 * vs) - 0.5, axis=-1
+            )
         else:  # cmd
-            term = ad.tsum(ad.absolute(mu_t - mu_s)) + ad.tsum(
-                ad.absolute(var_t - Tensor(source.var[i]))
+            term = ad.tsum(ad.absolute(mu_t - mu_s), axis=-1) + ad.tsum(
+                ad.absolute(var_t - Tensor(source.var[i])), axis=-1
             )
             for k in range(3, order + 1):
                 term = term + ad.tsum(
-                    ad.absolute(test.moments[k][i] - Tensor(source.moments[k][i]))
+                    ad.absolute(test.moments[k][i] - Tensor(source.moments[k][i])), axis=-1
                 )
         total = term if total is None else total + term
     return total / float(len(layers))
@@ -380,6 +388,33 @@ GRADCHECK_CONFIG = ModelConfig(
 )
 
 
+def suite_losses(
+    mdl: DualEncoder,
+    prompts: PromptState,
+    views: np.ndarray,
+    kept: np.ndarray,
+    src: SourceStats,
+    beta: float,
+) -> dict[str, Tensor]:
+    """Every loss ``gradient_suite`` checks, over all vision layers: scalars,
+    or one per set, (S,), for prompts with S stacked sets."""
+    feats, layer_tokens = mdl.encode_image(views, prompts)
+    text_feats = mdl.encode_text(prompts=prompts)
+    probs = classify(feats, text_feats, mdl.temperature)
+    l_ent = entropy_loss(probs, kept)
+    tstats = view_stats(layer_tokens, mdl.token_indices(prompted=True), max_order=5)
+    layers = tuple(range(1, mdl.config.n_vision_layers + 1))
+    out = {
+        "entropy": l_ent,
+        "align_l1": align_loss(tstats, src, layers, "l1"),
+        "align_l2": align_loss(tstats, src, layers, "l2"),
+        "align_kl": align_loss(tstats, src, layers, "kl"),
+        "align_cmd5": align_loss(tstats, src, layers, "cmd-5"),
+    }
+    out["final"] = combined_loss(l_ent, out["align_l1"], beta)
+    return out
+
+
 def gradient_suite(
     n_episodes: int = 20,
     seed: int = 0,
@@ -425,7 +460,6 @@ def gradient_suite(
         image = rng.normal(0.0, 1.0, (cfg.channels, cfg.image_size, cfg.image_size))
         views = generate_views(image, n_views, int(rng.integers(0, 2**31))).views
         params = prompts.parameters()
-        layers = tuple(range(1, cfg.n_vision_layers + 1))
 
         # Fix the kept set at the base point and reject borderline rankings or
         # L1 kinks, so finite differences never step across a non-smooth point.
@@ -451,21 +485,7 @@ def gradient_suite(
             if min(margins) < 1e-6:
                 continue
 
-        def losses(kept=kept) -> dict[str, Tensor]:
-            feats, layer_tokens = mdl.encode_image(views, prompts)
-            text_feats = mdl.encode_text(prompts=prompts)
-            probs = classify(feats, text_feats, mdl.temperature)
-            l_ent = entropy_loss(probs, kept)
-            tstats = view_stats(layer_tokens, token_idx, max_order=5)
-            out = {
-                "entropy": l_ent,
-                "align_l1": align_loss(tstats, src, layers, "l1"),
-                "align_l2": align_loss(tstats, src, layers, "l2"),
-                "align_kl": align_loss(tstats, src, layers, "kl"),
-                "align_cmd5": align_loss(tstats, src, layers, "cmd-5"),
-            }
-            out["final"] = combined_loss(l_ent, out["align_l1"], beta)
-            return out
+        losses = partial(suite_losses, mdl, prompts, views, kept, src, beta)
 
         # Gradient entries several orders below a loss's own scale sit inside
         # the float64 central-difference noise envelope (rounding

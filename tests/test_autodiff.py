@@ -305,6 +305,26 @@ def test_gradients_shape_ops():
     _fd_case("broadcast", lambda: ad.tsum(ad.broadcast_to(a[:, :1], (2, 5, 4)) * 1.3), [a])
 
 
+def test_take_negative_axis_gathers_along_that_axis():
+    a = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    out = ad.take(a, [0, 1, 1], axis=-1)
+    assert out.shape == (3, 3)
+    assert np.array_equal(out.data, a.data[:, [0, 1, 1]])
+    grads = ad.backward(ad.tsum(out * Tensor(np.arange(9.0).reshape(3, 3))))
+    expect = np.zeros((3, 4))
+    expect[:, 0] = [0.0, 3.0, 6.0]
+    expect[:, 1] = [1.0 + 2.0, 4.0 + 5.0, 7.0 + 8.0]
+    assert np.array_equal(grads[a], expect)
+    assert np.array_equal(ad.take(a, [2], axis=-2).data, ad.take(a, [2], axis=0).data)
+    _fd_case("take-1", lambda: ad.tsum(ad.take(a, np.array([3, 0, 3]), axis=-1) ** 2), [a])
+
+
+@pytest.mark.parametrize("axis", [2, -3])
+def test_take_axis_out_of_range(axis):
+    with pytest.raises(ShapeError):
+        ad.take(Tensor(np.zeros((3, 4))), [0], axis=axis)
+
+
 # The reference is a matmul node followed by an add node, written in numpy.
 # At (8, 17, 64) a 2-D GEMM over the flattened rows already changes the last
 # bits of the input gradient, so these shapes tell the two apart.

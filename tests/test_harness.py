@@ -115,6 +115,24 @@ def test_dataset_malformed_meta_value(tmp_path):
         harness.load_dataset(tmp_path / "ds")
 
 
+def test_dataset_n_classes_must_match_class_names(tmp_path):
+    src, _ = harness.gen_synthetic(TINY_GEN, seed=8)
+    harness.save_dataset(src, tmp_path / "ds")
+    meta = tmp_path / "ds" / "meta.txt"
+    meta.write_text(meta.read_text().replace("n_classes=3", "n_classes=7"))
+    with pytest.raises(FormatError, match="n_classes"):
+        harness.load_dataset(tmp_path / "ds")
+
+
+def test_dataset_meta_not_utf8(tmp_path):
+    src, _ = harness.gen_synthetic(TINY_GEN, seed=8)
+    harness.save_dataset(src, tmp_path / "ds")
+    meta = tmp_path / "ds" / "meta.txt"
+    meta.write_bytes(meta.read_bytes().replace(b"split=", b"split=\xff"))
+    with pytest.raises(FormatError, match="UTF-8"):
+        harness.load_dataset(tmp_path / "ds")
+
+
 def test_bundle_invariants():
     meta = harness.DatasetMeta(2, 1, 4, 4, 2, ("a", "b"), "test")
     with pytest.raises(DataError):

@@ -319,3 +319,40 @@ def test_checkpoint_truncated(tiny_model, tmp_path):
     path.write_bytes(path.read_bytes()[:-17])
     with pytest.raises(FormatError):
         mm.load_checkpoint(path)
+
+
+def _rewrite_config(path, edit):
+    """Replace the checkpoint's config JSON with ``edit(json_bytes)``."""
+    import struct
+
+    raw = path.read_bytes()
+    (cfg_len,) = struct.unpack_from("<I", raw, 12)
+    cfg = edit(raw[16 : 16 + cfg_len])
+    path.write_bytes(raw[:12] + struct.pack("<I", len(cfg)) + cfg + raw[16 + cfg_len :])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda c: c.replace(b'"channels"', b'"chanels"'),  # unknown key
+    lambda c: c.replace(b'"class_names"', b'"class_nomes"'),  # missing class names
+    lambda c: c.replace(b'"ripple"', b'"r\xffpple"'),
+    lambda c: c[:-1],  # malformed JSON
+    lambda c: b"[1, 2]",  # not an object
+], ids=["unknown-key", "no-class-names", "not-utf8", "bad-json", "not-object"])
+def test_checkpoint_bad_config_is_format_error(tmp_path, edit):
+    path = tmp_path / "ckpt.bin"
+    mm.save_checkpoint(_model(), path)
+    _rewrite_config(path, edit)
+    with pytest.raises(FormatError):
+        mm.load_checkpoint(path)
+
+
+def test_checkpoint_duplicate_array_rejected(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    mm.save_checkpoint(_model(), path)
+    raw = path.read_bytes()
+    # Two same-shaped arrays; renaming the second to the first leaves one unset.
+    a, b = b"vision.blocks.0.ln1.gamma", b"vision.blocks.1.ln1.gamma"
+    assert raw.count(a) == raw.count(b) == 1
+    path.write_bytes(raw.replace(b, a))
+    with pytest.raises(FormatError, match="twice"):
+        mm.load_checkpoint(path)

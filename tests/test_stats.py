@@ -267,6 +267,36 @@ def test_stats_truncated(tiny_stats, tmp_path):
         st.load_stats(path)
 
 
+# n_layers, dim and max_order sit at bytes 40..51, after the magic and hash.
+@pytest.mark.parametrize("header", [
+    {"max_order": 2**31},
+    {"dim": 0, "n_layers": 2**31},
+    {"n_layers": 0},
+    {"max_order": 1},
+    {"n_layers": 2**31},
+])
+def test_stats_bad_header_rejected_before_allocating(tiny_stats, tmp_path, header):
+    import struct
+
+    path = tmp_path / "stats.bin"
+    st.save_stats(tiny_stats, path)
+    raw = bytearray(path.read_bytes())
+    fields = dict(zip(("n_layers", "dim", "max_order"), struct.unpack_from("<III", raw, 40)))
+    fields.update(header)
+    struct.pack_into("<III", raw, 40, fields["n_layers"], fields["dim"], fields["max_order"])
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        st.load_stats(path)
+
+
+def test_stats_trailing_bytes_rejected(tiny_stats, tmp_path):
+    path = tmp_path / "stats.bin"
+    st.save_stats(tiny_stats, path)
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(FormatError):
+        st.load_stats(path)
+
+
 def test_stats_json_mirror(tiny_stats, tmp_path):
     import json
 
