@@ -95,6 +95,8 @@ class DatasetBundle:
             raise DataError(f"labels shape {self.labels.shape} != ({n},)")
         if n and int(self.labels.max()) >= self.meta.n_classes:
             raise DataError("label out of range")
+        if not np.isfinite(self.images).all():
+            raise DataError("images hold a non-finite pixel (NaN or inf)")
 
 
 def _grating_bank(n_classes: int):

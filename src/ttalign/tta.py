@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .augment import DEFAULT_MIN_SCALE, generate_views
-from .errors import CompatibilityError, ConfigurationError, ContractError
+from .errors import CompatibilityError, ConfigurationError, ContractError, DataError
 from .model import DualEncoder, ModelConfig, PromptState, classify
 from .optim import make_optimizer
 from .stats import LayerStats, SourceStats, source_stats, view_stats
@@ -268,6 +268,8 @@ def adapt_and_predict(
     """
     t0 = time.perf_counter()
     _check_stats(model, source_stats, config)
+    if not np.isfinite(image).all():
+        raise DataError("image holds a non-finite pixel (NaN or inf)")
     if config.mode == "episodic":
         prompts.reset()
     seed = config.seed if view_seed is None else view_seed

@@ -1,9 +1,15 @@
+import ctypes
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import ttalign
 from ttalign import autodiff as ad
 from ttalign.autodiff import Tensor
 from ttalign.errors import ContractError, ShapeError
@@ -387,3 +393,51 @@ def test_debug_checks_flag_catches_nonfinite():
         assert np.all(np.isfinite(out.data))
     finally:
         ad.set_debug_checks(False)
+
+
+def _has_mallopt() -> bool:
+    # Asked of the C library itself, not of ttalign, so that the test also
+    # runs (and fails) where ttalign never calls mallopt.
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+# Two warm-up episodes fill the heap; the six after them are counted.
+_EPISODE_FAULTS = """
+import resource
+import ttalign as tl
+from ttalign import harness
+
+source, test = harness.gen_synthetic(harness.GenConfig(n_source=16, n_test=8), seed=0)
+model = tl.DualEncoder(tl.ModelConfig(), seed=1)
+stats = tl.source_stats(source.images, model, dataset_id="source")
+prompts = tl.PromptState(model.config, seed=0)
+config = tl.TTAConfig(learning_rate=5e-3)
+
+def episode(i):
+    image = test.images[i].astype("float64")
+    tl.adapt_and_predict(image, model, prompts, stats, config, view_seed=i)
+
+for i in range(2):
+    episode(i)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for i in range(2, 8):
+    episode(i)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 6)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_episodes_reuse_freed_heap_pages():
+    """An episode's tape reuses the previous episode's pages: it faults
+    none of them in again (about 9,000 minor faults per episode otherwise)."""
+    src = str(Path(ttalign.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _EPISODE_FAULTS], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    faults_per_episode = float(run.stdout)
+    assert faults_per_episode < 100, faults_per_episode

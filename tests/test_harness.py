@@ -143,6 +143,15 @@ def test_bundle_invariants():
                               np.array([0, 5], np.uint32))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_bundle_rejects_non_finite_pixel(value):
+    meta = harness.DatasetMeta(2, 1, 4, 4, 2, ("a", "b"), "test")
+    images = np.zeros((2, 1, 4, 4), np.float32)
+    images[1, 0, 2, 3] = value
+    with pytest.raises(DataError, match="non-finite"):
+        harness.DatasetBundle(meta, images, np.zeros(2, np.uint32))
+
+
 # -- evaluation ---------------------------------------------------------------------
 
 
@@ -692,3 +701,21 @@ def test_cli_malformed_meta_exits_2(cli_workspace, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: meta.txt has a malformed value") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["adapt", "eval"])
+def test_cli_non_finite_pixel_exits_2(cli_workspace, tmp_path, capsys, command):
+    ws = cli_workspace
+    data = tmp_path / "test"
+    data.mkdir()
+    for name in ("meta.txt", "labels.u32"):
+        (data / name).write_bytes((ws["data"] / "test" / name).read_bytes())
+    images = np.fromfile(ws["data"] / "test" / "images.f32", dtype="<f4")
+    images[37] = np.nan
+    images.tofile(data / "images.f32")
+    rc = cli_main(["--config", str(ws["cfg"]), "--out", str(tmp_path / "o"), command,
+                   "--ckpt", str(ws["ckpt"]), "--data", str(data),
+                   "--stats", str(ws["stats"])])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: images hold a non-finite pixel") and err.count("\n") == 1, err

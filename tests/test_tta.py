@@ -9,7 +9,7 @@ from ttalign import autodiff as ad
 from ttalign import stats as st
 from ttalign import tta
 from ttalign.augment import generate_views
-from ttalign.errors import CompatibilityError, ConfigurationError, ContractError
+from ttalign.errors import CompatibilityError, ConfigurationError, ContractError, DataError
 from ttalign.optim import SGD, AdamW
 
 
@@ -365,6 +365,18 @@ def test_align_layers_validated_against_model(tiny_model, tiny_stats, tiny_data)
     with pytest.raises(ConfigurationError):
         tl.adapt_and_predict(test.images[0].astype(np.float64), tiny_model, prompts,
                              tiny_stats, config)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n_steps", [0, 1])
+def test_non_finite_image_rejected(tiny_model, tiny_stats, tiny_data, value, n_steps):
+    _, _, test = tiny_data
+    img = test.images[0].astype(np.float64)
+    img[0, 3, 5] = value
+    prompts = tl.PromptState(tiny_model.config, seed=0)
+    config = tl.TTAConfig(beta=100.0, n_views=4, n_steps=n_steps)
+    with pytest.raises(DataError, match="non-finite"):
+        tl.adapt_and_predict(img, tiny_model, prompts, tiny_stats, config)
 
 
 def test_sgd_small_step_descends(tiny_model, tiny_stats, tiny_data):
