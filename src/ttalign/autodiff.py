@@ -588,7 +588,11 @@ def _relative_error(analytic: np.ndarray, fd: np.ndarray, floor: float = 1e-8) -
     gradient entries: there a float64 central difference carries
     rounding/truncation noise larger than any fixed fraction of the entry
     itself, so a pure relative comparison measures noise, not the gradient.
+    A non-finite entry in either array is an infinite error, so that no
+    ``max`` over errors can drop it as it drops a NaN.
     """
+    if not (np.all(np.isfinite(analytic)) and np.all(np.isfinite(fd))):
+        return math.inf
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), floor)
     return float(np.max(np.abs(analytic - fd) / denom))
 
@@ -625,25 +629,27 @@ def grad_check(f, params, step: float = 1e-5) -> float:
 
 # Coordinates perturbed per call of ``f`` in ``grad_check_many``: each takes
 # two stacked parameter sets (+step and -step).
-FD_CHUNK = 8
+FD_CHUNK = 16
 
 
 def grad_check_many(f, params, step: float = 1e-5, denom_floor=None) -> dict[str, float]:
     """Like ``grad_check`` for an ``f()`` returning a dict of scalar losses.
 
-    All losses share each finite-difference evaluation, and each evaluation
-    covers ``FD_CHUNK`` coordinates at once (fewer in the last chunk): every
-    param holds a leading set axis of two stacked copies of its base value
-    per coordinate, where set 2r is the r-th coordinate of the chunk at
-    ``+step`` and set 2r+1 the same coordinate at ``-step``. So ``f`` must
-    accept params with a leading set axis and then return one loss per set
-    (shape (S,)); called on the unstacked params, it returns scalars, from
-    which the analytic gradients are taken. The params hold their base data
-    again when this returns or raises. ``denom_floor`` may be a float or a
-    per-loss dict; see ``_relative_error``.
+    ``f`` is called once on the unstacked params, and the analytic gradient
+    of every loss is taken from that one graph. Each further call covers
+    ``FD_CHUNK`` coordinates at once (fewer in the last chunk), shared by all
+    losses: every param that owns a coordinate of the chunk holds a leading
+    set axis of two stacked copies of its base value per coordinate, where
+    set 2r is the r-th coordinate of the chunk at ``+step`` and set 2r+1 the
+    same coordinate at ``-step``; every other param keeps its base array,
+    shared by all sets. So ``f`` must accept any mix of stacked and unstacked
+    params and then return one loss per set (shape (S,)). The params hold
+    their base data again when this returns or raises. ``denom_floor`` may be
+    a float or a per-loss dict; see ``_relative_error``.
     """
     params = list(params)
-    names = list(f().keys())
+    losses = f()
+    names = list(losses)
     if denom_floor is None:
         denom_floor = {}
     if not isinstance(denom_floor, dict):
@@ -651,8 +657,9 @@ def grad_check_many(f, params, step: float = 1e-5, denom_floor=None) -> dict[str
 
     analytic = {}
     for name in names:
-        grads = backward(f()[name])
+        grads = backward(losses[name])
         analytic[name] = [grads.get(p, np.zeros_like(p.data)) for p in params]
+    del losses  # free the tape before the stacked forwards
 
     fds = {name: [np.empty(p.size) for p in params] for name in names}
     coords = [(j, i) for j, p in enumerate(params) for i in range(p.size)]
@@ -661,13 +668,15 @@ def grad_check_many(f, params, step: float = 1e-5, denom_floor=None) -> dict[str
         with no_grad():
             for lo in range(0, len(coords), FD_CHUNK):
                 chunk = coords[lo : lo + FD_CHUNK]
-                sets = [np.repeat(b.reshape(1, -1), 2 * len(chunk), axis=0) for b in base]
+                owners = {j for j, _ in chunk}
+                sets = {j: np.repeat(base[j].reshape(1, -1), 2 * len(chunk), axis=0)
+                        for j in owners}
                 for r, (j, i) in enumerate(chunk):
                     orig = base[j].reshape(-1)[i]
                     sets[j][2 * r, i] = orig + step
                     sets[j][2 * r + 1, i] = orig - step
-                for p, b, stacked in zip(params, base, sets):
-                    p.data = stacked.reshape((-1,) + b.shape)
+                for j, (p, b) in enumerate(zip(params, base)):
+                    p.data = sets[j].reshape((-1,) + b.shape) if j in sets else b
                 values = {k: v.data for k, v in f().items()}
                 for r, (j, i) in enumerate(chunk):
                     for name in names:

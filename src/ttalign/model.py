@@ -200,8 +200,9 @@ class PromptState:
     """The test-time learnable state: per-layer text prompts plus the linear
     maps deriving the vision prompts from them.
 
-    Every tensor may carry a leading set axis of S prompt sets, (S, t, d_t)
-    and (S, d_t, d_v); one forward then evaluates all S sets (``prompt_sets``).
+    Any tensor may carry a leading set axis of S prompt sets, (S, t, d_t)
+    or (S, d_t, d_v); one forward then evaluates all S sets, and a tensor
+    without the axis is shared by every set (``prompt_sets``).
     ``reset()`` restores every parameter bit-exactly to its value at
     construction, which is what makes per-sample adaptation episodic.
     """
@@ -247,24 +248,26 @@ def couple(text_prompt: Tensor, coupling: Tensor) -> Tensor:
 
 
 def prompt_sets(prompts: PromptState | None) -> int | None:
-    """S when every prompt tensor carries a set axis of length S, None when
-    none does (or there are no prompts); any other mix raises ShapeError."""
+    """S when at least one prompt tensor carries a set axis of length S, None
+    when none does (or there are no prompts). A tensor without the axis is
+    shared by all S sets. Two different set counts, or a tensor that is
+    neither (t, d) nor (S, t, d), raise ShapeError."""
     if prompts is None:
         return None
     params = prompts.parameters()
-    lead = {p.shape[0] if p.ndim == 3 else None for p in params}
-    if len(lead) != 1 or any(p.ndim not in (2, 3) for p in params):
+    lead = {p.shape[0] for p in params if p.ndim == 3}
+    if len(lead) > 1 or any(p.ndim not in (2, 3) for p in params):
         raise ShapeError(
             "prompt tensors mix set axes: " + ", ".join(str(p.shape) for p in params)
         )
-    return lead.pop()
+    return lead.pop() if lead else None
 
 
 def _prompt_rows(prompt: Tensor, rows: int, sets: int | None) -> Tensor:
     """Prompt tokens for a batch of ``rows`` token matrices: (t, d) repeated
-    for every row, or (S, t, d) repeated for every row of its own set, where
-    the rows are set-major (rows = S * B)."""
-    if sets is None:
+    for every row (shared by all sets), or (S, t, d) repeated for every row
+    of its own set, where the rows are set-major (rows = S * B)."""
+    if prompt.ndim == 2:
         t, d = prompt.shape
         return ad.broadcast_to(ad.reshape(prompt, (1, t, d)), (rows, t, d))
     return ad.take(prompt, np.repeat(np.arange(sets), rows // sets), axis=0)
@@ -465,7 +468,9 @@ class DualEncoder:
         """Encode one class (``class_id``) or all classes (``None``).
 
         The feature is the projected, L2-normalized <eos>-position token:
-        (C, f), or (S, C, f) with S prompt sets; one class drops the C axis.
+        (C, f), or (S, C, f) when a text prompt carries a set axis of S sets;
+        one class drops the C axis. Sets that differ only in their coupling
+        maps share one (C, f) result.
         """
         if class_id is None:
             ids = self._class_ids
@@ -475,6 +480,8 @@ class DualEncoder:
             ids = self._class_ids[class_id : class_id + 1]
         t = self.config.n_prompt_tokens
         sets = prompt_sets(prompts)
+        if sets is not None and all(p.ndim == 2 for p in prompts.text_prompts):
+            sets = None
 
         emb = ad.take(self.text.token_table, ids, axis=0) + self.text.pos
         if sets is not None:
@@ -514,8 +521,9 @@ def classify(img_features: Tensor, text_features: Tensor, temperature: float) ->
     """Class probabilities: softmax over temperature-scaled cosine similarities.
 
     Both feature sets must already be L2-normalized; inputs are (B, d) and
-    (C, d), output is (B, C) with rows summing to 1. With S prompt sets they
-    are (S, B, d) and (S, C, d), and the output is (S, B, C).
+    (C, d), output is (B, C) with rows summing to 1. With S prompt sets the
+    image features are (S, B, d), the text features (S, C, d) or, when the
+    sets share their text prompts, (C, d), and the output is (S, B, C).
     """
     lead = tuple(range(text_features.ndim - 2))
     axes = lead + (text_features.ndim - 1, text_features.ndim - 2)

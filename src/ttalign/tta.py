@@ -435,8 +435,13 @@ def gradient_suite(
     sit at the float64 finite-difference noise floor), the kept-view set is
     fixed at the base point, and episodes whose L1 deviations or
     entropy-ranking margins sit too close to a kink are redrawn. Returns the
-    max relative error per loss.
+    max relative error per loss. Needs ``n_episodes >= 1`` and a finite
+    ``step > 0``, so that it never reports a check it did not run.
     """
+    if n_episodes < 1:
+        raise ConfigurationError(f"n_episodes must be >= 1, got {n_episodes}")
+    if not (math.isfinite(step) and step > 0):
+        raise ConfigurationError(f"step must be finite and > 0, got {step}")
     cfg = config or GRADCHECK_CONFIG
     mdl = DualEncoder(cfg, seed=seed)
     mdl.freeze()
@@ -501,8 +506,8 @@ def gradient_suite(
         # The combined objective must also be an exact linear combination on
         # the tape, which pins its gradient beyond what FD can resolve.
         g_final = ad.backward(base["final"])
-        g_ent = ad.backward(losses()["entropy"])
-        g_l1 = ad.backward(losses()["align_l1"])
+        g_ent = ad.backward(base["entropy"])
+        g_l1 = ad.backward(base["align_l1"])
         for p in params:
             lin = g_ent.get(p, 0.0) + beta * g_l1.get(p, 0.0)
             if np.max(np.abs(g_final[p] - lin)) > 1e-9 * max(1.0, np.max(np.abs(lin))):

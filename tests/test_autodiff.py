@@ -384,6 +384,17 @@ def test_grad_check_sum_of_squares_is_tight():
     assert err < 1e-9
 
 
+def test_grad_check_nan_difference_is_infinite_error():
+    # sqrt(0 - step) is NaN: a NaN difference must fail the check, not vanish
+    # from the max over coordinates.
+    p = Tensor(np.array([2.0, 0.0]), requires_grad=True)
+    with np.errstate(invalid="ignore"):
+        err = ad.grad_check(lambda: ad.tsum(ad.sqrt(p + 1e-12)), [p], step=1e-5)
+    assert err == math.inf
+    assert ad._relative_error(np.array([1.0]), np.array([np.nan])) == math.inf
+    assert ad._relative_error(np.array([np.inf]), np.array([1.0])) == math.inf
+
+
 def test_debug_checks_flag_catches_nonfinite():
     ad.set_debug_checks(True)
     try:

@@ -602,6 +602,18 @@ def test_cli_omitted_seed_is_seed_0(cli_workspace, tmp_path, capsys, command):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--episodes", "0"], ["--episodes", "-3"],
+    ["--episodes", "1", "--step", "0"], ["--episodes", "1", "--step", "nan"],
+])
+def test_cli_grad_check_unrunnable_check_exits_2(tmp_path, capsys, flags):
+    rc = cli_main(["--out", str(tmp_path / "g"), "grad-check", *flags])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("missing", ["ckpt", "stats", "images.f32", "labels.u32"])
 def test_cli_missing_artifact_exits_2(cli_workspace, tmp_path, capsys, missing):
     ws = cli_workspace

@@ -2,6 +2,8 @@
 sets, bit for bit as S separate forwards, and the batched finite-difference
 check built on it."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -91,17 +93,37 @@ def test_stacked_single_image_and_single_class():
     assert np.array_equal(one.data, model.encode_text(prompts=prompts).data[:, 1])
 
 
-@pytest.mark.parametrize("which", ["text", "coupling", "set_count"])
+@pytest.mark.parametrize("which", ["text", "coupling"])
+def test_one_stacked_tensor_equals_full_stack(which):
+    sets = 3
+    model, src, views, prompts, rng = _setup(CFG)
+    kept = np.array([0, 2])
+    stacked = prompts.text_prompts[0] if which == "text" else prompts.couplers[1]
+    stack = rng.normal(0.0, 0.2, (sets,) + stacked.shape)
+    base = [p.data for p in prompts.parameters()]
+    stacked.data = stack
+    shared = _forward(model, src, views, prompts, kept)
+    for p, b in zip(prompts.parameters(), base):
+        p.data = stack if p is stacked else np.stack([b] * sets)
+    full = _forward(model, src, views, prompts, kept)
+    assert shared.keys() == full.keys()
+    if which == "coupling":
+        assert shared["text_feats"].shape == (CFG.n_classes, CFG.feature_dim)
+    for name, value in full.items():
+        if not (which == "coupling" and name == "text_feats"):
+            assert shared[name].shape == value.shape, name
+        assert np.array_equal(np.broadcast_to(shared[name], value.shape), value), name
+
+
+@pytest.mark.parametrize("which", ["set_count", "ndim"])
 def test_mixed_set_axes_raise(which):
     model, _, views, prompts, _ = _setup(CFG)
-    if which == "text":
-        prompts.text_prompts[0].data = prompts.text_prompts[0].data[None]
-    elif which == "coupling":
-        prompts.couplers[1].data = prompts.couplers[1].data[None]
-    else:
+    if which == "set_count":
         for p in prompts.parameters():
             p.data = np.stack([p.data] * 2)
         prompts.couplers[0].data = np.stack([prompts.couplers[0].data[0]] * 3)
+    else:
+        prompts.couplers[1].data = prompts.couplers[1].data[None, None]
     with pytest.raises(ShapeError):
         model.encode_image(views, prompts)
     with pytest.raises(ShapeError):
@@ -163,6 +185,27 @@ def test_grad_check_many_equals_per_coordinate_loop(cfg):
         assert np.array_equal(p.data, b)
 
 
+def test_grad_check_many_stacks_only_the_perturbed_params():
+    rng = np.random.default_rng(1)
+    shapes = [(3, 5), (7,), (4, 5)]
+    params = [ad.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    calls = []
+
+    def f():
+        calls.append([p.shape for p in params])
+        # one loss per set; a param without the set axis is shared by all sets
+        total = sum(ad.tsum(p * p, axis=tuple(range(-len(s), 0))) for p, s in zip(params, shapes))
+        return {"loss": total}
+
+    ad.grad_check_many(f, params)
+    owners = [j for j, p in enumerate(params) for _ in range(p.size)]
+    chunks = [owners[lo : lo + ad.FD_CHUNK] for lo in range(0, len(owners), ad.FD_CHUNK)]
+    assert len(calls) == 1 + math.ceil(len(owners) / ad.FD_CHUNK)
+    assert calls[0] == shapes
+    for got, chunk in zip(calls[1:], chunks):
+        assert got == [(2 * len(chunk),) + s if j in chunk else s for j, s in enumerate(shapes)]
+
+
 def test_grad_check_many_restores_params_when_f_raises():
     rng = np.random.default_rng(0)
     params = [ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True),
@@ -174,8 +217,10 @@ def test_grad_check_many_restores_params_when_f_raises():
     def f():
         nonlocal calls
         calls += 1
-        if calls == 4:  # after the key and analytic calls, the second chunk
-            assert params[0].shape == (2 * ad.FD_CHUNK, 3, 5)
+        if calls == 3:  # after the analytic call and the first chunk
+            # the second chunk perturbs the last 22 - FD_CHUNK entries of params[1]
+            assert params[0].shape == (3, 5)
+            assert params[1].shape == (2 * (22 - ad.FD_CHUNK), 7)
             raise RuntimeError("loss failed")
         total = ad.tsum(params[0] * params[0], axis=(-2, -1)) + ad.tsum(params[1], axis=-1)
         return {"loss": total}
@@ -185,4 +230,3 @@ def test_grad_check_many_restores_params_when_f_raises():
     for p, b, c in zip(params, base, copies):
         assert p.data is b
         assert np.array_equal(p.data, c)
-

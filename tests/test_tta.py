@@ -588,3 +588,29 @@ def test_config_validation():
     for kwargs in bad_model:
         with pytest.raises(ConfigurationError):
             tl.ModelConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_episodes": 0}, {"n_episodes": -3},
+    {"step": 0.0}, {"step": -1e-5}, {"step": float("nan")}, {"step": float("inf")},
+])
+def test_gradient_suite_rejects_checks_it_cannot_run(kwargs):
+    with pytest.raises(ConfigurationError):
+        tl.gradient_suite(**kwargs)
+
+
+def test_gradient_suite_fails_on_nan_finite_difference(monkeypatch):
+    losses = tta.suite_losses
+
+    def nan_in_first_set(*args):
+        out = losses(*args)
+        if out["align_l2"].ndim == 1:  # a stacked finite-difference call
+            mask = np.ones(out["align_l2"].shape)
+            mask[0] = np.nan
+            out["align_l2"] = out["align_l2"] * mask
+        return out
+
+    monkeypatch.setattr(tta, "suite_losses", nan_in_first_set)
+    errors = tl.gradient_suite(n_episodes=1, seed=0)
+    assert errors.pop("align_l2") == math.inf
+    assert max(errors.values()) < 1e-4
