@@ -15,6 +15,7 @@ from __future__ import annotations
 import ctypes
 import itertools
 import math
+import operator
 import threading
 
 import numpy as np
@@ -242,13 +243,25 @@ def neg(a: Tensor) -> Tensor:
     return _node(-a.data, (a,), lambda g: (-g,))
 
 
-def power(a: Tensor, exponent: float) -> Tensor:
-    k = float(exponent)
+def power(a: Tensor, exponent: int) -> Tensor:
+    """``a ** k`` for an integer k >= 1, by the left-to-right product
+    ``a*a*...*a``, the order ``RunningMoments.add`` forms source power sums
+    in. (``np.power`` sends negative bases to libm, about 60x slower.)"""
+    try:
+        k = operator.index(exponent)
+    except TypeError:
+        k = 0
+    if k < 1:
+        raise ContractError(f"power needs an int exponent >= 1, got {exponent!r}")
+    x = a.data
+    lower = np.ones_like(x) if k == 1 else x  # x^(k-1)
+    for _ in range(k - 2):
+        lower = lower * x
 
     def vjp(g):
-        return (g * k * np.power(a.data, k - 1.0),)
+        return (g * k * lower,)
 
-    return _node(np.power(a.data, k), (a,), vjp)
+    return _node(lower * x, (a,), vjp)
 
 
 def absolute(a: Tensor) -> Tensor:

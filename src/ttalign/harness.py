@@ -8,12 +8,16 @@ Dataset directory layout (little-endian):
 
 Evaluation writes three files: ``records.jsonl`` (one record per sample),
 ``summary.json`` (aggregates and the config echo; fully deterministic under a
-fixed seed), and ``timing.json`` (wall-clock numbers, deliberately kept out
-of the deterministic artifacts).
+fixed seed), and ``timing.json`` (wall-clock numbers and the BLAS kernel and
+thread count, deliberately kept out of the deterministic artifacts). The
+deterministic files are byte-identical across reruns, ``workers`` counts and
+BLAS thread counts on one BLAS kernel; another kernel may change their last
+bits.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import time
@@ -381,6 +385,30 @@ def zero_shot_top1(model: DualEncoder, dataset: DatasetBundle,
     return float(np.mean(preds == dataset.labels[:n].astype(np.int64)))
 
 
+def blas_runtime() -> dict:
+    """The core name and thread count of numpy's bundled OpenBLAS, both None
+    where the loaded library cannot be asked."""
+    unknown = {"blas_core": None, "blas_threads": None}
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return unknown
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+            core = lib.scipy_openblas_get_corename64_
+            threads = lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        core.argtypes, core.restype = [], ctypes.c_char_p
+        threads.argtypes, threads.restype = [], ctypes.c_int
+        name = core()
+        return {"blas_core": name.decode("ascii", "replace") if name else None,
+                "blas_threads": int(threads())}
+    return unknown
+
+
 def write_report(report: EvalReport, directory) -> None:
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "records.jsonl"), "w") as fh:
@@ -390,7 +418,8 @@ def write_report(report: EvalReport, directory) -> None:
         json.dump(report.summary_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
     with open(os.path.join(directory, "timing.json"), "w") as fh:
-        json.dump({"runtime_s": report.runtime_s, "n_samples": report.n_samples}, fh)
+        json.dump({"runtime_s": report.runtime_s, "n_samples": report.n_samples,
+                   **blas_runtime()}, fh)
         fh.write("\n")
 
 

@@ -394,7 +394,7 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     run_b = pipeline(tmp_path / "b", workers=1)
     run_c = pipeline(tmp_path / "c", workers=4)
     rerun_ok = all(run_a[k] == run_b[k] for k in run_a)
-    thread_ok = all(run_a[k] == run_c[k] for k in run_a)
-    ok = rerun_ok and thread_ok
+    worker_ok = all(run_a[k] == run_c[k] for k in run_a)
+    ok = rerun_ok and worker_ok
     assert _report(10, "pipeline determinism", ok,
-                   f"rerun byte-identical={rerun_ok}, 1-vs-4-thread byte-identical={thread_ok}")
+                   f"rerun byte-identical={rerun_ok}, 1-vs-4-worker byte-identical={worker_ok}")

@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import math
 import os
 import subprocess
@@ -452,3 +453,46 @@ def test_episodes_reuse_freed_heap_pages():
     assert run.returncode == 0, run.stderr
     faults_per_episode = float(run.stdout)
     assert faults_per_episode < 100, faults_per_episode
+
+
+# -- integer powers -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_power_is_left_to_right_product(k):
+    """Forward x*x*...*x and vjp g*k*x^(k-1), bit for bit, on mixed signs."""
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(5, 7))
+    w = rng.normal(size=(5, 7))
+
+    def chain(n):  # ((1*x)*x)*...*x with n factors of x; 1*x == x exactly
+        return functools.reduce(np.multiply, [x] * n, np.ones_like(x))
+
+    a = Tensor(x, requires_grad=True)
+    out = ad.power(a, k)
+    assert out.data.tobytes() == chain(k).tobytes()
+    assert (a ** k).data.tobytes() == out.data.tobytes()
+    assert ad.backward(ad.tsum(out * Tensor(w)))[a].tobytes() == (w * k * chain(k - 1)).tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("sign", ["negative", "mixed"])
+def test_power_gradient_on_negative_bases(sign, k):
+    rng = np.random.default_rng(12)
+    # |x| >= 0.5: near 0, rounding in the loss swamps the tiny gradient of
+    # x^5 at this step, however the power is computed.
+    base = np.abs(rng.normal(size=(3, 4))) + 0.5
+    base *= -1.0 if sign == "negative" else rng.choice([-1.0, 1.0], size=(3, 4))
+    a = Tensor(base, requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 4)))
+    _fd_case(f"pow{k}-{sign}", lambda: ad.tsum(ad.power(a, k) * w), [a])
+
+
+@pytest.mark.parametrize("exponent", [2.5, 0, -1, 3.0, np.float64(2.0), "3", None],
+                         ids=["2.5", "0", "-1", "3.0", "float64", "str", "None"])
+def test_power_rejects_non_integer_exponents(exponent):
+    a = Tensor([1.5, -2.0], requires_grad=True)
+    with pytest.raises(ContractError):
+        ad.power(a, exponent)
+    with pytest.raises(ContractError):
+        a ** exponent

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -731,3 +735,29 @@ def test_cli_non_finite_pixel_exits_2(cli_workspace, tmp_path, capsys, command):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: images hold a non-finite pixel") and err.count("\n") == 1, err
+
+
+def test_cli_eval_byte_identical_across_blas_threads(cli_workspace, tmp_path):
+    """`eval` at 1 and 2 OpenBLAS threads writes the same records and summary
+    bytes; timing.json names the kernel and the thread count."""
+    ws = cli_workspace
+    src = str(Path(tl.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from ttalign.cli import main; sys.exit(main())",
+             "--seed", "7", "--config", str(ws["cfg"]), "--out", str(out),
+             "eval", "--ckpt", str(ws["ckpt"]), "--data", str(ws["data"] / "test"),
+             "--stats", str(ws["stats"])],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        timing = json.loads((out / "timing.json").read_text())
+        assert timing["blas_core"] is None or isinstance(timing["blas_core"], str)
+        # OpenBLAS caps the count at the CPUs it can use.
+        assert timing["blas_threads"] is None or 1 <= timing["blas_threads"] <= int(threads)
+        outs.append(out)
+    for name in ("records.jsonl", "summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
