@@ -51,7 +51,6 @@ from .tta import (
     align_loss,
     combined_loss,
     confidence_filter,
-    continuous_adapt,
     entropy_loss,
     gradient_suite,
 )

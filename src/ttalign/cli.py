@@ -60,8 +60,6 @@ _FLAGS = (
     (("--n-steps",), TTAConfig, "n_steps", {}),
     (("--align-layers",), TTAConfig, "align_layers", {"help": "comma-separated, e.g. 1,2,3"}),
     (("--align-loss",), TTAConfig, "align_loss", {"help": "l1 | l2 | kl | cmd-K"}),
-    (("--tta-mode",), TTAConfig, "mode", {}),
-    (("--prompt-reg-lambda",), TTAConfig, "prompt_reg_lambda", {}),
     (("--optimizer",), TTAConfig, "optimizer", {}),
     (("--weight-decay",), TTAConfig, "weight_decay", {}),
     (("--freeze-coupling",), TTAConfig, "update_coupling",

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import CompatibilityError, ContractError, DataError, FormatError
 from .model import DualEncoder, ModelConfig, PromptState, predict
 from .stats import SourceStats
-from .tta import EpisodeResult, TTAConfig, adapt_and_predict, continuous_adapt
+from .tta import EpisodeResult, TTAConfig, adapt_and_predict
 
 REPORT_SCHEMA_VERSION = 1
 SHIFT_KINDS = ("mean-offset", "contrast-scale", "blur", "mixture")
@@ -329,32 +329,26 @@ def run_eval(
 ) -> EvalReport:
     """Adapt-and-predict over a dataset and aggregate Top-1 accuracy.
 
-    Episodic samples are independent, so they may run on ``workers`` threads;
-    results are collected by sample index and are identical for any worker
-    count. Continuous mode is inherently sequential.
+    Every episode resets the prompts, so samples are independent and may run
+    on ``workers`` threads; results are collected by sample index and are
+    identical for any worker count.
     """
     t0 = time.perf_counter()
     n = dataset.meta.n_samples if limit is None else min(limit, dataset.meta.n_samples)
     images = dataset.images[:n].astype(np.float64)
     labels = dataset.labels[:n].astype(np.int64)
 
-    episodes: list[EpisodeResult]
-    if config.mode == "continuous":
+    def one(i: int) -> EpisodeResult:
         prompts = PromptState(model.config, seed=prompt_seed)
-        seeds = [_mix_seed(config.seed, i) for i in range(n)]
-        episodes = continuous_adapt(images, model, prompts, stats, config, view_seeds=seeds)
-    else:
-        def one(i: int) -> EpisodeResult:
-            prompts = PromptState(model.config, seed=prompt_seed)
-            return adapt_and_predict(
-                images[i], model, prompts, stats, config, view_seed=_mix_seed(config.seed, i)
-            )
+        return adapt_and_predict(
+            images[i], model, prompts, stats, config, view_seed=_mix_seed(config.seed, i)
+        )
 
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                episodes = list(pool.map(one, range(n)))
-        else:
-            episodes = [one(i) for i in range(n)]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            episodes = list(pool.map(one, range(n)))
+    else:
+        episodes = [one(i) for i in range(n)]
 
     records = [_record(i, int(labels[i]), ep) for i, ep in enumerate(episodes)]
     correct = sum(r["correct"] for r in records)
@@ -426,10 +420,7 @@ def write_report(report: EvalReport, directory) -> None:
 # -- ablations ------------------------------------------------------------------
 
 
-ABLATION_AXES = (
-    "beta", "n_views", "n_steps", "align_loss", "align_layers",
-    "mode", "prompt_reg_lambda",
-)
+ABLATION_AXES = ("beta", "n_views", "n_steps", "align_loss", "align_layers")
 
 
 def run_ablation(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -75,6 +76,16 @@ class SourceStats:
         return self.mu[0].shape[-1]
 
 
+def _check_max_order(max_order) -> None:
+    """Raise ContractError unless ``max_order`` is an int >= 2."""
+    try:
+        order = operator.index(max_order)
+    except TypeError:
+        order = 0
+    if order < 2:
+        raise ContractError(f"max_order must be an int >= 2, got {max_order!r}")
+
+
 class RunningMoments:
     """Single-pass accumulator of raw power sums per channel.
 
@@ -84,8 +95,7 @@ class RunningMoments:
     """
 
     def __init__(self, dim: int, max_order: int = 2):
-        if max_order < 2:
-            raise ContractError(f"max_order must be >= 2, got {max_order}")
+        _check_max_order(max_order)
         self.dim = dim
         self.max_order = max_order
         self.count = 0
@@ -132,8 +142,7 @@ def view_stats(layer_tokens, token_indices, max_order: int = 2) -> LayerStats:
     idx = np.asarray(token_indices, dtype=np.intp)
     if idx.size == 0:
         raise ContractError("token mask selects no positions")
-    if max_order < 2:
-        raise ContractError(f"max_order must be >= 2, got {max_order}")
+    _check_max_order(max_order)
     mus, variances = [], []
     moments: dict[int, list[Tensor]] = {k: [] for k in range(3, max_order + 1)}
     for x in layer_tokens:
@@ -151,8 +160,6 @@ def view_stats(layer_tokens, token_indices, max_order: int = 2) -> LayerStats:
 
 def central_moments(layer_tokens, token_indices, max_order: int) -> dict[int, list[Tensor]]:
     """Biased central moments of orders 2..max_order per layer and channel."""
-    if max_order < 2:
-        raise ContractError(f"max_order must be >= 2, got {max_order}")
     stats = view_stats(layer_tokens, token_indices, max_order=max_order)
     return {2: stats.var, **stats.moments}
 

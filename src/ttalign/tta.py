@@ -6,8 +6,8 @@ token-statistics alignment loss against precomputed source statistics over
 *all* views, and update the prompt parameters on the combined objective.
 Each step tapes only what that objective reads: the blocks up to the deepest
 aligned layer over all views, and the blocks above it over the kept views.
-Episodic mode resets the prompts before every sample; continuous mode lets
-them persist, optionally pulled back toward their previous value.
+Every episode starts from the prompts' initial values, with a fresh
+optimizer, so a sample's result never depends on the samples before it.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ class TTAConfig:
     n_steps: int = 1
     align_layers: tuple[int, ...] = (1, 2, 3)
     align_loss: str = "l1"  # "l1" | "l2" | "kl" | "cmd-K"
-    mode: str = "episodic"  # "episodic" | "continuous"
-    prompt_reg_lambda: float = 0.0
+    mode: str = "episodic"  # the only mode: every episode resets the prompts
     optimizer: str = "adamw"  # "adamw" | "sgd"
     weight_decay: float = 0.0
     seed: int = 0
@@ -58,10 +57,10 @@ class TTAConfig:
             raise ConfigurationError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}"
             )
-        for name in ("weight_decay", "prompt_reg_lambda"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigurationError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
+            )
         if not 0.0 < self.crop_min_scale <= 1.0:
             raise ConfigurationError(
                 f"crop_min_scale must be in (0, 1], got {self.crop_min_scale}"
@@ -72,10 +71,16 @@ class TTAConfig:
             raise ConfigurationError(f"n_views must be >= 1, got {self.n_views}")
         if self.n_steps < 0:
             raise ConfigurationError(f"n_steps must be >= 0, got {self.n_steps}")
-        if self.mode not in ("episodic", "continuous"):
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
+        if self.mode != "episodic":
+            raise ConfigurationError(
+                f"mode must be 'episodic', got {self.mode!r} (continuous mode was removed)"
+            )
         if self.optimizer not in ("adamw", "sgd"):
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
+        if self.optimizer == "sgd" and self.weight_decay != 0.0:
+            raise ConfigurationError(
+                f"sgd takes no weight decay, got weight_decay={self.weight_decay}"
+            )
         parse_align_variant(self.align_loss)
         object.__setattr__(self, "align_layers", tuple(self.align_layers))
         if not self.align_layers:
@@ -253,7 +258,6 @@ def adapt_and_predict(
     source_stats: SourceStats | None,
     config: TTAConfig,
     view_seed: int | None = None,
-    optimizer=None,
 ) -> EpisodeResult:
     """Adapt the prompts to one test image and return the final prediction.
 
@@ -263,26 +267,18 @@ def adapt_and_predict(
     first run untaped over all views to rank them for the confidence filter
     (skipped when the filter keeps every view), then run taped from the
     layer-h tokens of the kept views only, which feed the entropy loss.
-    ``optimizer`` lets continuous mode persist optimizer state across
-    samples; episodic callers leave it None for a fresh one.
+    The prompts are reset first and get a fresh optimizer.
     """
     t0 = time.perf_counter()
     _check_stats(model, source_stats, config)
     if not np.isfinite(image).all():
         raise DataError("image holds a non-finite pixel (NaN or inf)")
-    if config.mode == "episodic":
-        prompts.reset()
+    prompts.reset()
     seed = config.seed if view_seed is None else view_seed
 
     params = prompts.parameters(include_coupling=config.update_coupling)
-    if optimizer is None:
-        optimizer = make_optimizer(
-            config.optimizer, params, config.learning_rate, config.weight_decay
-        )
+    optimizer = make_optimizer(config.optimizer, params, config.learning_rate, config.weight_decay)
     kind, order = parse_align_variant(config.align_loss)
-    reg_snapshot = None
-    if config.mode == "continuous" and config.prompt_reg_lambda > 0.0:
-        reg_snapshot = [p.data.copy() for p in params]
 
     result = EpisodeResult(predicted=-1, probs=np.empty(0))
     if config.n_steps > 0:
@@ -314,13 +310,6 @@ def adapt_and_predict(
                 )
                 l_align = align_loss(tstats, source_stats, config.align_layers, config.align_loss)
             l_final = combined_loss(l_ent, l_align, config.beta)
-            if reg_snapshot is not None:
-                penalty = None
-                for p, prev in zip(params, reg_snapshot):
-                    d = p - Tensor(prev)
-                    term = ad.tsum(d * d)
-                    penalty = term if penalty is None else penalty + term
-                l_final = l_final + config.prompt_reg_lambda * penalty
 
             optimizer.zero_grad()
             ad.backward(l_final)
@@ -339,35 +328,6 @@ def adapt_and_predict(
     result.predicted = int(np.argmax(result.probs))
     result.wall_time_s = time.perf_counter() - t0
     return result
-
-
-def continuous_adapt(
-    images,
-    model: DualEncoder,
-    prompts: PromptState,
-    source_stats: SourceStats | None,
-    config: TTAConfig,
-    view_seeds=None,
-) -> list[EpisodeResult]:
-    """Adapt over a stream without resetting; optimizer state persists too."""
-    if config.mode != "continuous":
-        raise ContractError("continuous_adapt requires mode='continuous'")
-    images = np.asarray(images, dtype=np.float64)
-    if view_seeds is None:
-        view_seeds = [config.seed + i for i in range(images.shape[0])]
-    optimizer = make_optimizer(
-        config.optimizer,
-        prompts.parameters(include_coupling=config.update_coupling),
-        config.learning_rate,
-        config.weight_decay,
-    )
-    return [
-        adapt_and_predict(
-            img, model, prompts, source_stats, config,
-            view_seed=seed, optimizer=optimizer,
-        )
-        for img, seed in zip(images, view_seeds)
-    ]
 
 
 # -- gradient diagnostics ---------------------------------------------------------

@@ -204,14 +204,6 @@ def test_entropy_only_close_to_zero_shot_in_distribution(tiny_model, tiny_data):
     assert abs(report.top1 - frozen) <= 0.02 + 1e-9
 
 
-def test_eval_continuous_mode_runs(tiny_model, tiny_stats, tiny_data):
-    _, _, test = tiny_data
-    config = tl.TTAConfig(beta=100.0, n_views=4, mode="continuous",
-                          learning_rate=1e-5, seed=6)
-    report = harness.run_eval(tiny_model, test, tiny_stats, config, limit=5)
-    assert report.n_samples == 5
-
-
 # -- ablations ---------------------------------------------------------------------
 
 
@@ -345,6 +337,15 @@ def test_cli_unknown_command_is_usage_error():
     assert cli_main(["explode"]) == 1
 
 
+@pytest.mark.parametrize("flag", ["--tta-mode", "--prompt-reg-lambda"])
+def test_cli_removed_flag_is_usage_error(cli_workspace, tmp_path, flag):
+    ws = cli_workspace
+    rc = cli_main(["--config", str(ws["cfg"]), "--out", str(tmp_path / "e"),
+                   "eval", "--ckpt", str(ws["ckpt"]), "--data", str(ws["data"] / "test"),
+                   "--stats", str(ws["stats"]), "--limit", "1", flag, "0"])
+    assert rc == 1
+
+
 def test_cli_eval_without_stats_exits_2(cli_workspace, capsys):
     ws = cli_workspace
     rc = cli_main(["--config", str(ws["cfg"]), "--out", str(ws["root"] / "noeval"),
@@ -374,16 +375,21 @@ def test_cli_eval_without_stats_exits_2(cli_workspace, capsys):
     (["--align-layers", "1,x"], ""),
     (["--n-views", "2.5"], ""),
     (["--beta", "ten"], ""),
-    (["--tta-mode", "bogus"], ""),
+    (["--axis", "mode", "--values", "episodic"], ""),
     (["--optimizer", "lion"], ""),
     (["--axis", "beta", "--values", "0,x"], ""),
     (["--axis", "align_layers", "--values", "1+x"], ""),
     (["--axis", "n_views", "--values", "4,8.5"], ""),
-    # out-of-range regularisation weights, from a flag or the file
+    # out-of-range weight decay, from a flag
     (["--weight-decay", "-5"], ""),
     (["--weight-decay", "nan"], ""),
-    (["--prompt-reg-lambda", "-1"], ""),
+    # removed: the prompt_reg_lambda key and axis, and mode=continuous
+    (["--axis", "prompt_reg_lambda", "--values", "0"], ""),
     ([], "prompt_reg_lambda=inf"),
+    ([], "mode=continuous"),
+    ([], "prompt_reg_lambda=0"),
+    # sgd takes no weight decay
+    (["--optimizer", "sgd", "--weight-decay", "0.5"], ""),
 ])
 def test_cli_invalid_tta_config_exits_2(cli_workspace, tmp_path, capsys, flags, cfg_line):
     ws = cli_workspace
@@ -505,8 +511,8 @@ def _captured_call(monkeypatch, ws, tmp_path, name, argv_head, argv_tail, cfg_li
     ((), [], ["--n-steps", "2"], {"n_steps": 2}),
     ((), [], ["--align-layers", "1,3"], {"align_layers": (1, 3)}),
     ((), [], ["--align-loss", "cmd-3"], {"align_loss": "cmd-3"}),
-    ((), [], ["--tta-mode", "continuous"], {"mode": "continuous"}),
-    ((), [], ["--prompt-reg-lambda", "0.1"], {"prompt_reg_lambda": 0.1}),
+    ((), [], ["--optimizer", "sgd", "--weight-decay", "0"], {"optimizer": "sgd"}),
+    (("optimizer=sgd",), [], ["--weight-decay", "0"], {"optimizer": "sgd"}),
     ((), [], ["--optimizer", "sgd"], {"optimizer": "sgd"}),
     ((), [], ["--weight-decay", "0.01"], {"weight_decay": 0.01}),
     ((), [], ["--freeze-coupling"], {"update_coupling": False}),
@@ -519,8 +525,8 @@ def _captured_call(monkeypatch, ws, tmp_path, name, argv_head, argv_tail, cfg_li
     (("n_steps=0",), [], [], {"n_steps": 0}),
     (("align_layers=2",), [], [], {"align_layers": (2,)}),
     (("align_loss=kl",), [], [], {"align_loss": "kl"}),
-    (("mode=continuous",), [], [], {"mode": "continuous"}),
-    (("prompt_reg_lambda=2",), [], [], {"prompt_reg_lambda": 2.0}),
+    (("mode=episodic",), [], [], {"mode": "episodic"}),
+    (("optimizer=sgd", "weight_decay=0"), [], [], {"optimizer": "sgd"}),
     (("optimizer=sgd",), [], [], {"optimizer": "sgd"}),
     (("weight_decay=0.5",), [], [], {"weight_decay": 0.5}),
     (("seed=3",), [], [], {"seed": 3}),
@@ -532,7 +538,8 @@ def _captured_call(monkeypatch, ws, tmp_path, name, argv_head, argv_tail, cfg_li
     (("align_layers=1,2,3",), [], ["--align-layers", "2"], {"align_layers": (2,)}),
     (("seed=3",), ["--seed", "5"], [], {"seed": 5}),
     (("update_coupling=true",), [], ["--freeze-coupling"], {"update_coupling": False}),
-    (("mode=continuous",), [], ["--tta-mode", "episodic"], {"mode": "episodic"}),
+    # the merged config is checked, not the file alone
+    (("optimizer=sgd", "weight_decay=0.5"), [], ["--optimizer", "adamw"], {"weight_decay": 0.5}),
 ])
 def test_cli_tta_config_from_file_and_flags(
     cli_workspace, tmp_path, monkeypatch, cfg_lines, head, tail, expect
@@ -552,8 +559,6 @@ ABLATE_VALUES = {
     "n_steps": ("0,2", [0, 2]),
     "align_loss": ("l1,cmd-4", ["l1", "cmd-4"]),
     "align_layers": ("1+2+3,2", [(1, 2, 3), (2,)]),
-    "mode": ("episodic,continuous", ["episodic", "continuous"]),
-    "prompt_reg_lambda": ("0,0.5", [0.0, 0.5]),
 }
 
 
@@ -569,6 +574,17 @@ def test_cli_ablate_values_parse(cli_workspace, tmp_path, monkeypatch, axis):
     for v, w in zip(values, want):
         if isinstance(w, tuple):
             assert [type(x) for x in v] == [type(x) for x in w]
+
+
+@pytest.mark.parametrize("axis", harness.ABLATION_AXES)
+def test_every_ablation_axis_changes_the_records(tiny_model, tiny_stats, tiny_data, axis):
+    # an axis whose values all give the same records sweeps nothing
+    _, _, test = tiny_data
+    base = tl.TTAConfig(beta=100.0, n_views=4, learning_rate=5e-3, seed=3)
+    values = ABLATE_VALUES[axis][1][:2]
+    sweep = harness.run_ablation(tiny_model, test, tiny_stats, base, axis, values, limit=2)
+    first, second = (report.records for report in sweep["reports"])
+    assert first != second
 
 
 @pytest.mark.parametrize("head, tail", [

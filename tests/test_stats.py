@@ -115,6 +115,17 @@ def test_central_moments_reject_low_order():
         st.central_moments([ad.Tensor(np.zeros((2, 2, 2)))], np.array([0]), max_order=1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda order: st.view_stats([ad.Tensor(np.zeros((2, 2, 2)))], np.array([0]), order),
+    lambda order: st.central_moments([ad.Tensor(np.zeros((2, 2, 2)))], np.array([0]), order),
+    lambda order: st.RunningMoments(2, order),
+], ids=["view_stats", "central_moments", "RunningMoments"])
+@pytest.mark.parametrize("order", [3.5, 4.0, "4", None, True, 1])
+def test_max_order_must_be_int_at_least_two(build, order):
+    with pytest.raises(ContractError, match="max_order must be an int >= 2"):
+        build(order)
+
+
 # -- streaming accumulator ---------------------------------------------------------
 
 

@@ -488,64 +488,6 @@ def test_split_step_matches_full_tape(tiny_model, tiny_stats, tiny_data,
             assert np.max(np.abs(p.grad - grads[ref])) <= 1e-10 * scale
 
 
-# -- continuous mode ---------------------------------------------------------------------
-
-
-def test_continuous_huge_lambda_pins_prompts(tiny_model, tiny_stats, tiny_data):
-    _, _, test = tiny_data
-    config = tl.TTAConfig(beta=100.0, n_views=4, mode="continuous",
-                          prompt_reg_lambda=1e9, learning_rate=1e-5, n_steps=2, seed=1)
-    prompts = tl.PromptState(tiny_model.config, seed=0)
-    images = test.images[:3].astype(np.float64)
-    for i, img in enumerate(images):
-        before = [p.data.copy() for p in prompts.parameters()]
-        tl.adapt_and_predict(img, tiny_model, prompts, tiny_stats, config, view_seed=i)
-        change = max(
-            np.abs(p.data - b).max() for p, b in zip(prompts.parameters(), before)
-        )
-        assert change < 1e-4
-
-
-def test_continuous_lambda_zero_first_sample_matches_episodic(tiny_model, tiny_stats, tiny_data):
-    _, _, test = tiny_data
-    img = test.images[2].astype(np.float64)
-    base = dict(beta=100.0, n_views=4, learning_rate=5e-3, seed=4)
-    cont = tl.TTAConfig(mode="continuous", prompt_reg_lambda=0.0, **base)
-    epi = tl.TTAConfig(mode="episodic", **base)
-
-    p1 = tl.PromptState(tiny_model.config, seed=0)
-    r_cont = tl.continuous_adapt(img[None], tiny_model, p1, tiny_stats, cont, view_seeds=[5])[0]
-    p2 = tl.PromptState(tiny_model.config, seed=0)
-    r_epi = tl.adapt_and_predict(img, tiny_model, p2, tiny_stats, epi, view_seed=5)
-    assert _ep_key(r_cont) == _ep_key(r_epi)
-
-
-def test_continuous_stream_drifts_from_init(tiny_model, tiny_stats, tiny_data):
-    _, _, test = tiny_data
-    config = tl.TTAConfig(beta=100.0, n_views=4, mode="continuous",
-                          learning_rate=5e-3, seed=6)
-    prompts = tl.PromptState(tiny_model.config, seed=0)
-    init = [p.data.copy() for p in prompts.parameters()]
-    distances = []
-    for i in range(20):
-        img = test.images[i % test.meta.n_samples].astype(np.float64)
-        tl.adapt_and_predict(img, tiny_model, prompts, tiny_stats, config, view_seed=i)
-        dist = sum(
-            float(np.linalg.norm(p.data - a)) for p, a in zip(prompts.parameters(), init)
-        )
-        distances.append(dist)
-    for i in range(1, 5):
-        assert distances[i] > distances[i - 1]
-
-
-def test_continuous_requires_continuous_mode(tiny_model, tiny_stats, tiny_data):
-    _, _, test = tiny_data
-    prompts = tl.PromptState(tiny_model.config, seed=0)
-    with pytest.raises(ContractError):
-        tl.continuous_adapt(test.images[:1].astype(np.float64), tiny_model, prompts,
-                            tiny_stats, tl.TTAConfig(mode="episodic"))
-
-
 # -- config validation ----------------------------------------------------------------------
 
 
@@ -560,6 +502,8 @@ def test_config_validation():
         tl.TTAConfig(n_views=0)
     with pytest.raises(ConfigurationError):
         tl.TTAConfig(mode="batch")
+    with pytest.raises(ConfigurationError, match="continuous mode was removed"):
+        tl.TTAConfig(mode="continuous")
     with pytest.raises(ConfigurationError):
         tl.TTAConfig(optimizer="lion")
     with pytest.raises(ConfigurationError):
@@ -571,15 +515,14 @@ def test_config_validation():
         {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
         {"crop_min_scale": 0.0}, {"crop_min_scale": 1.5}, {"crop_min_scale": float("nan")},
         {"weight_decay": -5.0}, {"weight_decay": float("nan")}, {"weight_decay": float("inf")},
-        {"prompt_reg_lambda": -0.1}, {"prompt_reg_lambda": float("nan")},
-        {"prompt_reg_lambda": float("inf")},
+        {"optimizer": "sgd", "weight_decay": 0.5},
     ]
     for kwargs in bad:
         with pytest.raises(ConfigurationError):
             tl.TTAConfig(**kwargs)
     tl.TTAConfig(crop_min_scale=1.0, align_layers=(2,))
-    tl.TTAConfig(weight_decay=0.0, prompt_reg_lambda=0.0)
-    tl.TTAConfig(weight_decay=0.5, prompt_reg_lambda=2.0)
+    tl.TTAConfig(weight_decay=0.5)
+    tl.TTAConfig(optimizer="sgd", weight_decay=0.0)
     bad_model = [
         {"n_heads": 0}, {"image_size": 0}, {"patch_size": -8}, {"n_vision_layers": 0},
         {"n_prompt_tokens": 0}, {"mlp_ratio": 0},
