@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
+from .seeds import philox
 
 DEFAULT_MIN_SCALE = 0.5
 _LOG_ASPECT = (np.log(3.0 / 4.0), np.log(4.0 / 3.0))
@@ -70,7 +71,7 @@ def _bilinear_resize(crop: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def _sample_view(image: np.ndarray, seed: int, index: int, min_scale: float):
     """Draw one view's params from the (seed, index) Philox stream and apply."""
     _, h, w = image.shape
-    rng = np.random.Generator(np.random.Philox(key=[seed, index]))
+    rng = philox(seed, index)
     area = rng.uniform(min_scale, 1.0) * h * w
     aspect = np.exp(rng.uniform(*_LOG_ASPECT))
     cw = int(np.clip(round(np.sqrt(area * aspect)), 1, w))

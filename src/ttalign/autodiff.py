@@ -15,7 +15,6 @@ from __future__ import annotations
 import ctypes
 import itertools
 import math
-import operator
 import threading
 
 import numpy as np
@@ -137,9 +136,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
 
@@ -243,38 +239,12 @@ def neg(a: Tensor) -> Tensor:
     return _node(-a.data, (a,), lambda g: (-g,))
 
 
-def power(a: Tensor, exponent: int) -> Tensor:
-    """``a ** k`` for an integer k >= 1, by the left-to-right product
-    ``a*a*...*a``, the order ``RunningMoments.add`` forms source power sums
-    in. (``np.power`` sends negative bases to libm, about 60x slower.)"""
-    try:
-        k = operator.index(exponent)
-    except TypeError:
-        k = 0
-    if k < 1:
-        raise ContractError(f"power needs an int exponent >= 1, got {exponent!r}")
-    x = a.data
-    lower = np.ones_like(x) if k == 1 else x  # x^(k-1)
-    for _ in range(k - 2):
-        lower = lower * x
-
-    def vjp(g):
-        return (g * k * lower,)
-
-    return _node(lower * x, (a,), vjp)
-
-
 def absolute(a: Tensor) -> Tensor:
     # Subgradient at 0 is 0 (np.sign(0) == 0), the usual L1 convention.
     def vjp(g):
         return (g * np.sign(a.data),)
 
     return _node(np.abs(a.data), (a,), vjp)
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _node(out, (a,), lambda g: (g * out,))
 
 
 def log(a: Tensor) -> Tensor:
@@ -284,11 +254,6 @@ def log(a: Tensor) -> Tensor:
 def sqrt(a: Tensor) -> Tensor:
     out = np.sqrt(a.data)
     return _node(out, (a,), lambda g: (g * 0.5 / out,))
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return _node(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def clip_min(a: Tensor, lo: float) -> Tensor:
@@ -657,16 +622,13 @@ def grad_check_many(f, params, step: float = 1e-5, denom_floor=None) -> dict[str
     same coordinate at ``-step``; every other param keeps its base array,
     shared by all sets. So ``f`` must accept any mix of stacked and unstacked
     params and then return one loss per set (shape (S,)). The params hold
-    their base data again when this returns or raises. ``denom_floor`` may be
-    a float or a per-loss dict; see ``_relative_error``.
+    their base data again when this returns or raises. ``denom_floor`` maps a
+    loss name to its floor (1e-8 where absent); see ``_relative_error``.
     """
     params = list(params)
     losses = f()
     names = list(losses)
-    if denom_floor is None:
-        denom_floor = {}
-    if not isinstance(denom_floor, dict):
-        denom_floor = {name: float(denom_floor) for name in names}
+    denom_floor = denom_floor or {}
 
     analytic = {}
     for name in names:

@@ -60,12 +60,9 @@ _FLAGS = (
     (("--n-steps",), TTAConfig, "n_steps", {}),
     (("--align-layers",), TTAConfig, "align_layers", {"help": "comma-separated, e.g. 1,2,3"}),
     (("--align-loss",), TTAConfig, "align_loss", {"help": "l1 | l2 | kl | cmd-K"}),
-    (("--optimizer",), TTAConfig, "optimizer", {}),
     (("--weight-decay",), TTAConfig, "weight_decay", {}),
     (("--freeze-coupling",), TTAConfig, "update_coupling",
      {"action": "store_const", "const": "false"}),
-    (("--include-cls-in-stats",), TTAConfig, "include_cls_in_stats",
-     {"action": "store_const", "const": "true"}),
     (("--n-source",), GenConfig, "n_source", {}),
     (("--n-test",), GenConfig, "n_test", {}),
     (("--noise-sigma",), GenConfig, "noise_sigma", {}),
@@ -157,7 +154,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--ckpt", type=str, required=True)
     p.add_argument("--data", type=str, required=True)
     p.add_argument("--max-order", type=int, default=2, dest="max_order")
-    p.add_argument("--include-cls", action="store_true", dest="include_cls")
 
     p = sub.add_parser("adapt", help="adapt to a single sample, verbose losses")
     p.add_argument("--ckpt", type=str, required=True)
@@ -276,7 +272,6 @@ def _dispatch(args) -> int:
             bundle.images, mdl,
             max_order=args.max_order,
             dataset_id=f"{bundle.meta.split}:{bundle.meta.n_samples}",
-            include_cls=args.include_cls,
         )
         path = os.path.join(args.out, "stats.bin")
         stats_mod.save_stats(stats, path)

@@ -26,8 +26,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import CompatibilityError, ContractError, DataError, FormatError
+from .errors import CompatibilityError, ConfigurationError, ContractError, DataError, FormatError
 from .model import DualEncoder, ModelConfig, PromptState, predict
+from .seeds import philox
 from .stats import SourceStats
 from .tta import EpisodeResult, TTAConfig, adapt_and_predict
 
@@ -158,7 +159,7 @@ def _draw(
     config: GenConfig, seed: int, stream: int, n: int, split: str, shift: ShiftSpec | None
 ) -> DatasetBundle:
     """``n`` images from Philox stream ``(seed, stream)``, labels cycling classes."""
-    rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(stream)]))
+    rng = philox(seed, stream)
     labels = np.arange(n, dtype=np.uint32) % config.n_classes
     images = _render_class_images(rng, labels, config)
     if shift is not None:
@@ -331,8 +332,13 @@ def run_eval(
 
     Every episode resets the prompts, so samples are independent and may run
     on ``workers`` threads; results are collected by sample index and are
-    identical for any worker count.
+    identical for any worker count. Needs ``limit`` None or >= 0 and
+    ``workers >= 1``.
     """
+    if limit is not None and limit < 0:
+        raise ConfigurationError(f"limit must be >= 0, got {limit}")
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     t0 = time.perf_counter()
     n = dataset.meta.n_samples if limit is None else min(limit, dataset.meta.n_samples)
     images = dataset.images[:n].astype(np.float64)

@@ -32,8 +32,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigurationError, ContractError, DataError, FormatError, ShapeError
+from .errors import ConfigurationError, DataError, FormatError, ShapeError
 from .optim import AdamW
+from .seeds import philox
 
 CHECKPOINT_MAGIC = b"DUALENC1"
 CHECKPOINT_VERSION = 1
@@ -209,7 +210,7 @@ class PromptState:
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
-        rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(0x9E3779B9)]))
+        rng = philox(seed, 0x9E3779B9)
         t, dt, dv = config.n_prompt_tokens, config.embed_dim_t, config.embed_dim_v
         self.text_prompts = [
             Tensor(rng.normal(0.0, 0.02, (t, dt)), requires_grad=True)
@@ -333,7 +334,7 @@ class DualEncoder:
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
-        rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(1)]))
+        rng = philox(seed, 1)
         self.vision = VisionEncoder(rng, config)
         self.text = TextEncoder(rng, config)
         self.temperature = config.temperature
@@ -464,26 +465,19 @@ class DualEncoder:
 
     # -- text branch ----------------------------------------------------------
 
-    def encode_text(self, class_id: int | None = None, prompts: PromptState | None = None) -> Tensor:
-        """Encode one class (``class_id``) or all classes (``None``).
+    def encode_text(self, *, prompts: PromptState | None = None) -> Tensor:
+        """Encode every class name in its template.
 
         The feature is the projected, L2-normalized <eos>-position token:
-        (C, f), or (S, C, f) when a text prompt carries a set axis of S sets;
-        one class drops the C axis. Sets that differ only in their coupling
-        maps share one (C, f) result.
+        (C, f), or (S, C, f) when a text prompt carries a set axis of S sets.
+        Sets that differ only in their coupling maps share one (C, f) result.
         """
-        if class_id is None:
-            ids = self._class_ids
-        else:
-            if not 0 <= class_id < self.config.n_classes:
-                raise ContractError(f"unknown class id {class_id}")
-            ids = self._class_ids[class_id : class_id + 1]
         t = self.config.n_prompt_tokens
         sets = prompt_sets(prompts)
         if sets is not None and all(p.ndim == 2 for p in prompts.text_prompts):
             sets = None
 
-        emb = ad.take(self.text.token_table, ids, axis=0) + self.text.pos
+        emb = ad.take(self.text.token_table, self._class_ids, axis=0) + self.text.pos
         if sets is not None:
             emb = ad.concat([emb] * sets, axis=0)
         b = emb.shape[0]
@@ -500,21 +494,14 @@ class DualEncoder:
             x = blk(x)
 
         feat = ad.l2_normalize(ad.matmul(self.text.ln_final(x[:, -1]), self.text.proj))
-        if sets is not None:
-            feat = _unfold_sets(feat, sets)
-        if class_id is None:
-            return feat
-        return feat[0] if sets is None else feat[:, 0]
+        return feat if sets is None else _unfold_sets(feat, sets)
 
     # -- token layout -----------------------------------------------------------
 
-    def token_indices(self, prompted: bool, include_cls: bool = False) -> np.ndarray:
-        """Positions of patch tokens (optionally plus CLS) in a layer's output."""
+    def token_indices(self, prompted: bool) -> np.ndarray:
+        """Positions of the patch tokens in a layer's output."""
         offset = 1 + (self.config.n_prompt_tokens if prompted else 0)
-        idx = np.arange(offset, offset + self.config.n_patches, dtype=np.intp)
-        if include_cls:
-            idx = np.concatenate([[0], idx])
-        return idx
+        return np.arange(offset, offset + self.config.n_patches, dtype=np.intp)
 
 
 def classify(img_features: Tensor, text_features: Tensor, temperature: float) -> Tensor:
@@ -560,17 +547,24 @@ def pretrain_backbone(
 ) -> list[float]:
     """Train every backbone weight (no prompts) with cross-entropy over the
     cosine/temperature classifier, then freeze. Returns per-epoch mean loss.
+    Needs ``epochs >= 1``, ``batch_size >= 1`` and a finite ``lr > 0``.
     """
+    if epochs < 1 or batch_size < 1:
+        raise ConfigurationError(
+            f"epochs and batch_size must be >= 1, got {epochs} and {batch_size}"
+        )
+    if not (math.isfinite(lr) and lr > 0):
+        raise ConfigurationError(f"lr must be finite and > 0, got {lr}")
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = images.shape[0]
     if n == 0:
         raise DataError("pretraining dataset is empty")
 
+    rng = philox(seed, 2)
     model.set_trainable(True)
     params = model.parameters()
     opt = AdamW(params, lr=lr, weight_decay=0.0)
-    rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(2)]))
     c = model.config.n_classes
 
     history = []

@@ -1,28 +1,10 @@
-"""Parameter-update rules used for pretraining and test-time adaptation."""
+"""The parameter-update rule used for pretraining and test-time adaptation."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .autodiff import Tensor
-
-
-class SGD:
-    """Plain gradient descent: p <- p - lr * grad."""
-
-    def __init__(self, params, lr: float):
-        self.params: list[Tensor] = list(params)
-        self.lr = float(lr)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
-    def step(self) -> None:
-        for p in self.params:
-            if p.grad is None:
-                continue
-            p.data -= self.lr * p.grad
 
 
 class AdamW:
@@ -68,12 +50,3 @@ class AdamW:
             if self.weight_decay != 0.0:
                 p.data -= self.lr * self.weight_decay * p.data
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-def make_optimizer(name: str, params, lr: float, weight_decay: float = 0.0):
-    name = name.lower()
-    if name == "adamw":
-        return AdamW(params, lr=lr, weight_decay=weight_decay)
-    if name == "sgd":
-        return SGD(params, lr=lr)
-    raise ValueError(f"unknown optimizer {name!r}")

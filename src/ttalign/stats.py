@@ -134,7 +134,7 @@ def view_stats(layer_tokens, token_indices, max_order: int = 2) -> LayerStats:
 
     ``layer_tokens`` is the list of (n_views, tokens, dim) tensors a forward
     pass records; ``token_indices`` picks the token positions that contribute
-    (patch positions by default upstream). Differentiable w.r.t. anything the
+    (the patch positions, upstream). Differentiable w.r.t. anything the
     tokens depend on. ``max_order > 2`` additionally fills biased central
     moments of orders 3..max_order. Tokens of S prompt sets,
     (S, n_views, tokens, dim), give (S, dim) statistics, one row per set.
@@ -152,9 +152,11 @@ def view_stats(layer_tokens, token_indices, max_order: int = 2) -> LayerStats:
         mu = sel.mean(axis=axes)
         dev = sel - (ad.reshape(mu, (mu.shape[0], 1, 1, -1)) if lead else mu)
         mus.append(mu)
-        variances.append((dev * dev).mean(axis=axes))
+        power = dev * dev
+        variances.append(power.mean(axis=axes))
         for k in range(3, max_order + 1):
-            moments[k].append(ad.power(dev, k).mean(axis=axes))
+            power = power * dev  # dev^k left to right, as RunningMoments.add multiplies
+            moments[k].append(power.mean(axis=axes))
     return LayerStats(mu=mus, var=variances, moments=moments)
 
 
@@ -169,7 +171,6 @@ def source_stats(
     model,
     max_order: int = 2,
     dataset_id: str = "",
-    include_cls: bool = False,
 ) -> SourceStats:
     """Offline prompt-free statistics of a dataset under the frozen encoder.
 
@@ -183,7 +184,7 @@ def source_stats(
     if images.shape[0] == 0:
         raise DataError("source dataset is empty")
 
-    idx = model.token_indices(prompted=False, include_cls=include_cls)
+    idx = model.token_indices(prompted=False)
     accs: list[RunningMoments] | None = None
     with ad.no_grad():
         for lo in range(0, images.shape[0], FORWARD_CHUNK):

@@ -337,13 +337,42 @@ def test_cli_unknown_command_is_usage_error():
     assert cli_main(["explode"]) == 1
 
 
-@pytest.mark.parametrize("flag", ["--tta-mode", "--prompt-reg-lambda"])
-def test_cli_removed_flag_is_usage_error(cli_workspace, tmp_path, flag):
+@pytest.mark.parametrize("flag", ["--tta-mode", "--prompt-reg-lambda", "--optimizer",
+                                  "--include-cls-in-stats"])
+def test_cli_removed_flag_is_usage_error(cli_workspace, tmp_path, capsys, flag):
     ws = cli_workspace
     rc = cli_main(["--config", str(ws["cfg"]), "--out", str(tmp_path / "e"),
                    "eval", "--ckpt", str(ws["ckpt"]), "--data", str(ws["data"] / "test"),
                    "--stats", str(ws["stats"]), "--limit", "1", flag, "0"])
     assert rc == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_cli_compute_stats_include_cls_is_usage_error(cli_workspace, tmp_path):
+    ws = cli_workspace
+    rc = cli_main(["--config", str(ws["cfg"]), "--out", str(tmp_path / "s"), "compute-stats",
+                   "--ckpt", str(ws["ckpt"]), "--data", str(ws["data"] / "source"),
+                   "--include-cls"])
+    assert rc == 1
+
+
+@pytest.mark.parametrize("head, tail", [
+    ([], ["--epochs", "0"]),
+    ([], ["--epochs", "-2"]),
+    ([], ["--batch-size", "0"]),
+    ([], ["--lr", "nan"]),
+    ([], ["--lr", "0"]),
+    ([], ["--lr", "inf"]),
+    (["--seed", "-1"], []),
+])
+def test_cli_pretrain_bad_value_exits_2(cli_workspace, tmp_path, capsys, head, tail):
+    ws = cli_workspace
+    rc = cli_main([*head, "--config", str(ws["cfg"]), "--out", str(tmp_path / "m"), "pretrain",
+                   "--data", str(ws["data"] / "source"), *tail])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "m" / "checkpoint.bin").exists()
 
 
 def test_cli_eval_without_stats_exits_2(cli_workspace, capsys):
@@ -376,7 +405,7 @@ def test_cli_eval_without_stats_exits_2(cli_workspace, capsys):
     (["--n-views", "2.5"], ""),
     (["--beta", "ten"], ""),
     (["--axis", "mode", "--values", "episodic"], ""),
-    (["--optimizer", "lion"], ""),
+    (["--weight-decay", "inf"], ""),
     (["--axis", "beta", "--values", "0,x"], ""),
     (["--axis", "align_layers", "--values", "1+x"], ""),
     (["--axis", "n_views", "--values", "4,8.5"], ""),
@@ -388,8 +417,15 @@ def test_cli_eval_without_stats_exits_2(cli_workspace, capsys):
     ([], "prompt_reg_lambda=inf"),
     ([], "mode=continuous"),
     ([], "prompt_reg_lambda=0"),
-    # sgd takes no weight decay
-    (["--optimizer", "sgd", "--weight-decay", "0.5"], ""),
+    (["--filter-ratio", "0"], ""),
+    # removed: the optimizer and include_cls_in_stats keys
+    ([], "optimizer=adamw"),
+    ([], "include_cls_in_stats=false"),
+    # a negative limit, no worker, a prompt seed outside [0, 2**64)
+    (["--limit", "-1"], ""),
+    (["--workers", "0"], ""),
+    (["--prompt-seed", "-1"], ""),
+    (["--prompt-seed", str(2**64)], ""),
 ])
 def test_cli_invalid_tta_config_exits_2(cli_workspace, tmp_path, capsys, flags, cfg_line):
     ws = cli_workspace
@@ -511,12 +547,12 @@ def _captured_call(monkeypatch, ws, tmp_path, name, argv_head, argv_tail, cfg_li
     ((), [], ["--n-steps", "2"], {"n_steps": 2}),
     ((), [], ["--align-layers", "1,3"], {"align_layers": (1, 3)}),
     ((), [], ["--align-loss", "cmd-3"], {"align_loss": "cmd-3"}),
-    ((), [], ["--optimizer", "sgd", "--weight-decay", "0"], {"optimizer": "sgd"}),
-    (("optimizer=sgd",), [], ["--weight-decay", "0"], {"optimizer": "sgd"}),
-    ((), [], ["--optimizer", "sgd"], {"optimizer": "sgd"}),
+    ((), [], ["--weight-decay", "0"], {"weight_decay": 0.0}),
+    (("weight_decay=0.5",), [], ["--weight-decay", "0"], {"weight_decay": 0.0}),
+    ((), [], ["--align-loss", "kl"], {"align_loss": "kl"}),
     ((), [], ["--weight-decay", "0.01"], {"weight_decay": 0.01}),
     ((), [], ["--freeze-coupling"], {"update_coupling": False}),
-    ((), [], ["--include-cls-in-stats"], {"include_cls_in_stats": True}),
+    ((), [], ["--align-loss", "l2"], {"align_loss": "l2"}),
     ((), ["--seed", "5"], [], {"seed": 5}),
     (("beta=10",), [], [], {"beta": 10.0}),
     (("n_views=8",), [], [], {"n_views": 8}),
@@ -526,12 +562,12 @@ def _captured_call(monkeypatch, ws, tmp_path, name, argv_head, argv_tail, cfg_li
     (("align_layers=2",), [], [], {"align_layers": (2,)}),
     (("align_loss=kl",), [], [], {"align_loss": "kl"}),
     (("mode=episodic",), [], [], {"mode": "episodic"}),
-    (("optimizer=sgd", "weight_decay=0"), [], [], {"optimizer": "sgd"}),
-    (("optimizer=sgd",), [], [], {"optimizer": "sgd"}),
+    (("weight_decay=0",), [], [], {"weight_decay": 0.0}),
+    (("align_loss=cmd-4",), [], [], {"align_loss": "cmd-4"}),
     (("weight_decay=0.5",), [], [], {"weight_decay": 0.5}),
     (("seed=3",), [], [], {"seed": 3}),
     (("update_coupling=off",), [], [], {"update_coupling": False}),
-    (("include_cls_in_stats=yes",), [], [], {"include_cls_in_stats": True}),
+    (("update_coupling=no",), [], [], {"update_coupling": False}),
     (("crop_min_scale=0.5",), [], [], {"crop_min_scale": 0.5}),
     # flags override the file
     (("beta=10",), [], ["--beta", "20"], {"beta": 20.0}),
@@ -539,7 +575,7 @@ def _captured_call(monkeypatch, ws, tmp_path, name, argv_head, argv_tail, cfg_li
     (("seed=3",), ["--seed", "5"], [], {"seed": 5}),
     (("update_coupling=true",), [], ["--freeze-coupling"], {"update_coupling": False}),
     # the merged config is checked, not the file alone
-    (("optimizer=sgd", "weight_decay=0.5"), [], ["--optimizer", "adamw"], {"weight_decay": 0.5}),
+    (("weight_decay=-1",), [], ["--weight-decay", "0.5"], {"weight_decay": 0.5}),
 ])
 def test_cli_tta_config_from_file_and_flags(
     cli_workspace, tmp_path, monkeypatch, cfg_lines, head, tail, expect
@@ -591,6 +627,8 @@ def test_every_ablation_axis_changes_the_records(tiny_model, tiny_stats, tiny_da
     (["--seed", "x"], []),
     ([], ["--n-source", "x"]),
     ([], ["--noise-sigma", "loud"]),
+    (["--seed", "-1"], []),
+    (["--seed", str(2**64)], []),
 ])
 def test_cli_gen_data_bad_value_exits_2(cli_workspace, tmp_path, capsys, head, tail):
     rc = cli_main([*head, "--config", str(cli_workspace["cfg"]), "--out", str(tmp_path / "d"),

@@ -5,7 +5,7 @@ import pytest
 import ttalign as tl
 from ttalign import autodiff as ad
 from ttalign import model as mm
-from ttalign.errors import ConfigurationError, ContractError, FormatError
+from ttalign.errors import ConfigurationError, FormatError
 from ttalign.tta import GRADCHECK_CONFIG
 
 CFG = GRADCHECK_CONFIG
@@ -115,8 +115,8 @@ def test_prompt_gradient_flows_and_matches_fd():
 def test_encode_text_purity():
     m = _model()
     prompts = tl.PromptState(CFG, seed=0)
-    a = m.encode_text(1, prompts)
-    b = m.encode_text(1, prompts)
+    a = m.encode_text(prompts=prompts)
+    b = m.encode_text(prompts=prompts)
     assert np.array_equal(a.data, b.data)
 
 
@@ -130,15 +130,9 @@ def test_encode_text_distinct_classes():
 
 def test_encode_text_prompts_matter():
     m = _model()
-    a = m.encode_text(0, tl.PromptState(CFG, seed=0))
-    b = m.encode_text(0, tl.PromptState(CFG, seed=1))
+    a = m.encode_text(prompts=tl.PromptState(CFG, seed=0))
+    b = m.encode_text(prompts=tl.PromptState(CFG, seed=1))
     assert not np.allclose(a.data, b.data)
-
-
-def test_encode_text_unknown_class():
-    m = _model()
-    with pytest.raises(ContractError):
-        m.encode_text(CFG.n_classes)
 
 
 def test_text_features_independent_of_adapted_image(tiny_model, tiny_stats, tiny_data):
@@ -276,6 +270,20 @@ def test_pretrain_rejects_empty_dataset():
     with pytest.raises(tl.DataError):
         tl.pretrain_backbone(m, np.empty((0, 1, 16, 16)), np.empty(0, dtype=np.int64),
                              epochs=1, seed=0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"epochs": 0}, {"epochs": -2}, {"batch_size": 0},
+    {"lr": 0.0}, {"lr": -1e-3}, {"lr": float("nan")}, {"lr": float("inf")},
+    {"seed": -1}, {"seed": 2**64},
+])
+def test_pretrain_rejects_bad_settings_before_training(kwargs):
+    m = tl.DualEncoder(CFG, seed=0)
+    before = m.frozen_hash()
+    with pytest.raises(ConfigurationError):
+        tl.pretrain_backbone(m, np.zeros((2, 1, 16, 16)), np.zeros(2, dtype=np.int64),
+                             **{"epochs": 1, "seed": 0, **kwargs})
+    assert mm.weights_hash(m) == before
 
 
 # -- frozen backbone and checkpoints ---------------------------------------------------

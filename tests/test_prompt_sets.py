@@ -2,6 +2,7 @@
 sets, bit for bit as S separate forwards, and the batched finite-difference
 check built on it."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -88,9 +89,11 @@ def test_stacked_single_image_and_single_class():
     batch, _ = model.encode_image(views[:1], prompts)
     assert feat.shape == (2, CFG.feature_dim)
     assert np.array_equal(feat.data, batch.data[:, 0])
-    one = model.encode_text(1, prompts)
-    assert one.shape == (2, CFG.feature_dim)
-    assert np.array_equal(one.data, model.encode_text(prompts=prompts).data[:, 1])
+    # a one-class model keeps its class axis
+    one_class = dataclasses.replace(CFG, class_names=("ripple",))
+    text = tl.DualEncoder(one_class).encode_text(prompts=prompts)
+    assert text.shape == (2, 1, CFG.feature_dim)
+    assert np.array_equal(tl.classify(batch, text, 100.0).data, np.ones((2, 1, 1)))
 
 
 @pytest.mark.parametrize("which", ["text", "coupling"])

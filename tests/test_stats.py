@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -110,6 +112,32 @@ def test_order_four_of_plus_minus_one():
     assert moments[4][0].item() == 1.0
 
 
+@pytest.mark.parametrize("k", range(2, 7))
+def test_view_stats_moments_are_left_to_right_products(k):
+    """Moment k is the mean of dev*dev*...*dev, multiplied left to right,
+    the order ``RunningMoments.add`` forms the source power sums in."""
+    x = np.random.default_rng(11).normal(size=(5, 7, 3))
+    dev = x - x.mean(axis=(0, 1))
+    chain = functools.reduce(np.multiply, [dev] * k)
+    moments = st.central_moments([ad.Tensor(x)], np.arange(7), max_order=6)
+    assert moments[k][0].data.tobytes() == chain.mean(axis=(0, 1)).tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("sign", ["negative", "mixed"])
+def test_view_stats_moment_gradients_on_negative_tokens(sign, k):
+    rng = np.random.default_rng(12)
+    base = np.abs(rng.normal(size=(3, 4, 2))) + 0.5
+    base *= -1.0 if sign == "negative" else rng.choice([-1.0, 1.0], size=base.shape)
+    a = ad.Tensor(base, requires_grad=True)
+    w = ad.Tensor(rng.normal(size=2))
+
+    def loss():
+        return ad.tsum(st.central_moments([a], np.arange(4), max_order=5)[k][0] * w)
+
+    assert ad.grad_check(loss, [a], step=1e-5) < 1e-4
+
+
 def test_central_moments_reject_low_order():
     with pytest.raises(ContractError):
         st.central_moments([ad.Tensor(np.zeros((2, 2, 2)))], np.array([0]), max_order=1)
@@ -169,11 +197,11 @@ def test_source_stats_single_image_matches_promptfree_view_stats(tiny_model):
 
 
 @pytest.mark.parametrize("n", [1, FORWARD_CHUNK, FORWARD_CHUNK + 6])
-@pytest.mark.parametrize("include_cls", [False, True])
-def test_source_stats_equals_per_image_accumulation(tiny_model, tiny_data, n, include_cls):
+@pytest.mark.parametrize("float32_input", [False, True])
+def test_source_stats_equals_per_image_accumulation(tiny_model, tiny_data, n, float32_input):
     images = tiny_data[0].images[:n].astype(np.float64)
     assert images.shape[0] == n
-    idx = tiny_model.token_indices(prompted=False, include_cls=include_cls)
+    idx = tiny_model.token_indices(prompted=False)
     accs = None
     with ad.no_grad():
         for img in images:
@@ -181,7 +209,9 @@ def test_source_stats_equals_per_image_accumulation(tiny_model, tiny_data, n, in
             accs = accs or [st.RunningMoments(t.shape[-1], 5) for t in tokens]
             for acc, t in zip(accs, tokens):
                 acc.add(t.data[:, idx])
-    got = st.source_stats(images, tiny_model, max_order=5, include_cls=include_cls)
+    # compute-stats passes the dataset's float32 pixels as they are
+    got = st.source_stats(images.astype(np.float32) if float32_input else images,
+                          tiny_model, max_order=5)
     assert got.sample_count == n
     for layer, acc in enumerate(accs):
         assert np.array_equal(got.mu[layer], acc.mean())

@@ -10,7 +10,7 @@ from ttalign import stats as st
 from ttalign import tta
 from ttalign.augment import generate_views
 from ttalign.errors import CompatibilityError, ConfigurationError, ContractError, DataError
-from ttalign.optim import SGD, AdamW
+from ttalign.optim import AdamW
 
 
 def filter_oracle(probs, ratio):
@@ -250,24 +250,16 @@ def test_combined_gradient_is_sum_of_components():
 # -- optimizers -----------------------------------------------------------------------
 
 
-def test_sgd_step_is_exact():
-    p = ad.Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    p.grad = np.array([0.5, 0.25])
-    SGD([p], lr=0.1).step()
-    npt.assert_array_equal(p.data, [1.0 - 0.05, -2.0 - 0.025])
-
-
 def test_optimizers_ignore_zero_gradients():
-    for cls in (lambda ps: SGD(ps, 0.1), lambda ps: AdamW(ps, 0.1)):
-        p = ad.Tensor(np.array([3.0]), requires_grad=True)
-        p.grad = np.zeros(1)
-        before = p.data.copy()
-        opt = cls([p])
-        opt.step()
-        npt.assert_array_equal(p.data, before)
-        p.grad = None
-        opt.step()
-        npt.assert_array_equal(p.data, before)
+    p = ad.Tensor(np.array([3.0]), requires_grad=True)
+    p.grad = np.zeros(1)
+    before = p.data.copy()
+    opt = AdamW([p], 0.1)
+    opt.step()
+    npt.assert_array_equal(p.data, before)
+    p.grad = None
+    opt.step()
+    npt.assert_array_equal(p.data, before)
 
 
 def test_adamw_first_step_is_sign_like():
@@ -380,7 +372,7 @@ def test_non_finite_image_rejected(tiny_model, tiny_stats, tiny_data, value, n_s
 
 
 def test_sgd_small_step_descends(tiny_model, tiny_stats, tiny_data):
-    # one tiny SGD step must not increase the combined loss; episodes start
+    # one tiny gradient step must not increase the combined loss; episodes start
     # from the standard prompt init, exactly as episodic adaptation does
     _, _, test = tiny_data
     cfg = tiny_model.config
@@ -405,7 +397,8 @@ def test_sgd_small_step_descends(tiny_model, tiny_stats, tiny_data):
         params = prompts.parameters()
         pre = loss()
         ad.backward(pre)
-        SGD(params, lr=1e-6).step()
+        for p in params:
+            p.data -= 1e-6 * p.grad
         with ad.no_grad():
             post = loss()
         descents += post.item() <= pre.item()
@@ -505,8 +498,6 @@ def test_config_validation():
     with pytest.raises(ConfigurationError, match="continuous mode was removed"):
         tl.TTAConfig(mode="continuous")
     with pytest.raises(ConfigurationError):
-        tl.TTAConfig(optimizer="lion")
-    with pytest.raises(ConfigurationError):
         tl.TTAConfig(align_loss="cmd-1")
     bad = [
         {"align_layers": ()},
@@ -515,14 +506,12 @@ def test_config_validation():
         {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
         {"crop_min_scale": 0.0}, {"crop_min_scale": 1.5}, {"crop_min_scale": float("nan")},
         {"weight_decay": -5.0}, {"weight_decay": float("nan")}, {"weight_decay": float("inf")},
-        {"optimizer": "sgd", "weight_decay": 0.5},
     ]
     for kwargs in bad:
         with pytest.raises(ConfigurationError):
             tl.TTAConfig(**kwargs)
     tl.TTAConfig(crop_min_scale=1.0, align_layers=(2,))
     tl.TTAConfig(weight_decay=0.5)
-    tl.TTAConfig(optimizer="sgd", weight_decay=0.0)
     bad_model = [
         {"n_heads": 0}, {"image_size": 0}, {"patch_size": -8}, {"n_vision_layers": 0},
         {"n_prompt_tokens": 0}, {"mlp_ratio": 0},
