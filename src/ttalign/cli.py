@@ -123,11 +123,13 @@ def _add_config_flags(p: argparse.ArgumentParser, cls) -> None:
             p.add_argument(*names, dest=field, **extra)
 
 
-def _add_tta_flags(p: argparse.ArgumentParser) -> None:
+def _add_tta_flags(p: argparse.ArgumentParser, dataset_run: bool = True) -> None:
+    """TTAConfig flags, --prompt-seed and, for eval and ablate, dataset-run flags."""
     _add_config_flags(p, TTAConfig)
     p.add_argument("--prompt-seed", type=int, default=0, dest="prompt_seed")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--limit", type=int, default=None)
+    if dataset_run:
+        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--limit", type=int, default=None)
 
 
 def _build_parser() -> _Parser:
@@ -160,7 +162,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", type=str, required=True)
     p.add_argument("--stats", type=str, default=None)
     p.add_argument("--index", type=int, default=0)
-    _add_tta_flags(p)
+    _add_tta_flags(p, dataset_run=False)
 
     p = sub.add_parser("eval", help="run adaptation over a dataset")
     p.add_argument("--ckpt", type=str, required=True)

@@ -45,7 +45,6 @@ class ShiftSpec:
 
     kind: str = "mean-offset"
     magnitude: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in SHIFT_KINDS:
@@ -379,6 +378,8 @@ def run_eval(
 def zero_shot_top1(model: DualEncoder, dataset: DatasetBundle,
                    prompt_seed: int | None = 0, limit: int | None = None) -> float:
     """Frozen-model accuracy without any adaptation (prompts at init if given)."""
+    if limit is not None and limit < 0:
+        raise ConfigurationError(f"limit must be >= 0, got {limit}")
     n = dataset.meta.n_samples if limit is None else min(limit, dataset.meta.n_samples)
     prompts = PromptState(model.config, seed=prompt_seed) if prompt_seed is not None else None
     preds = predict(model, dataset.images[:n].astype(np.float64), prompts)

@@ -147,25 +147,13 @@ class _LayerNorm:
 class _Attention:
     def __init__(self, rng, d: int, n_heads: int):
         self.n_heads = n_heads
-        self.d_head = d // n_heads
         self.wq = _Linear(rng, d, d)
         self.wk = _Linear(rng, d, d)
         self.wv = _Linear(rng, d, d)
         self.wo = _Linear(rng, d, d)
 
     def __call__(self, x: Tensor) -> Tensor:
-        b, t, d = x.shape
-        h, dh = self.n_heads, self.d_head
-
-        def split(v):  # (B,T,d) -> (B,h,T,dh)
-            return ad.transpose(ad.reshape(v, (b, t, h, dh)), (0, 2, 1, 3))
-
-        q = split(self.wq(x)) * (1.0 / np.sqrt(dh))
-        k = split(self.wk(x))
-        v = split(self.wv(x))
-        att = ad.softmax(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), axis=-1)
-        ctx = ad.reshape(ad.transpose(ad.matmul(att, v), (0, 2, 1, 3)), (b, t, d))
-        return self.wo(ctx)
+        return self.wo(ad.attention(self.wq(x), self.wk(x), self.wv(x), self.n_heads))
 
     def params(self, prefix: str):
         for name, lin in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):

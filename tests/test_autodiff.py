@@ -34,6 +34,35 @@ def layernorm_oracle(row, eps=1e-5):
     return [(x - mu) / math.sqrt(var + eps) for x in row]
 
 
+def layernorm_reference(a, gamma, beta, g, eps=1e-5):
+    """LayerNorm over the last axis and its input, gamma and beta gradients,
+    written out operation by operation with ``np.mean``."""
+    mu = np.mean(a, axis=-1, keepdims=True)
+    var = np.mean((a - mu) ** 2, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (a - mu) * inv
+    dxhat = g * gamma
+    m1 = np.mean(dxhat, axis=-1, keepdims=True)
+    m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
+    lead = tuple(range(a.ndim - 1))
+    return (xhat * gamma + beta, (dxhat - m1 - xhat * m2) * inv,
+            (g * xhat).sum(axis=lead), g.sum(axis=lead))
+
+
+def composed_attention(q, k, v, n_heads):
+    """Multi-head attention composed of tape ops, one op at a time: split the
+    heads, scale q, softmax of q @ k^T, merge ``att @ v`` back."""
+    b, t, d = q.shape
+    h, dh = n_heads, d // n_heads
+
+    def split(x):  # (B,T,d) -> (B,h,T,dh)
+        return ad.transpose(ad.reshape(x, (b, t, h, dh)), (0, 2, 1, 3))
+
+    att = ad.softmax(ad.matmul(split(q) * (1.0 / np.sqrt(dh)),
+                               ad.transpose(split(k), (0, 1, 3, 2))), axis=-1)
+    return ad.reshape(ad.transpose(ad.matmul(att, split(v)), (0, 2, 1, 3)), (b, t, d))
+
+
 def gelu_reference(x, g):
     """The tanh-approximation GELU and its input gradient ``g * gelu'(x)``,
     written out operation by operation."""
@@ -140,7 +169,9 @@ def test_gelu_gradient_at_one():
     assert err < 1e-6
 
 
-@pytest.mark.parametrize("shape", [(), (4, 7, 9)])
+# 0-d, one block, exactly three blocks and two blocks plus a ragged third.
+@pytest.mark.parametrize("shape", [(), (4, 7, 9), (3, ad.GELU_BLOCK // 8, 8),
+                                   (2, ad.GELU_BLOCK + 77)])
 def test_gelu_bit_identical_to_formula(shape):
     rng = np.random.default_rng(11)
     x = rng.normal(size=shape) * 3.0
@@ -152,6 +183,87 @@ def test_gelu_bit_identical_to_formula(shape):
     assert np.array_equal(out.data, want_out)
     assert np.array_equal(ad.backward(ad.tsum(out * Tensor(g)))[p], want_grad)
     assert np.array_equal(p.data, x)
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (8, 17, 64)])
+def test_layernorm_bit_identical_to_formula(shape):
+    rng = np.random.default_rng(13)
+    a = Tensor(rng.normal(size=shape) * 2.0 + 0.5, requires_grad=True)
+    gamma = Tensor(rng.normal(size=shape[-1:]), requires_grad=True)
+    beta = Tensor(rng.normal(size=shape[-1:]), requires_grad=True)
+    g = rng.normal(size=shape)
+    want = layernorm_reference(a.data, gamma.data, beta.data, g)
+    out = ad.layernorm(a, gamma, beta)
+    grads = ad.backward(ad.tsum(out * Tensor(g)))
+    for got, ref in zip((out.data, grads[a], grads[gamma], grads[beta]), want):
+        assert got.tobytes() == ref.tobytes()
+
+
+# Token rows of a (B, T, 16) batch against GELU blocks of its (B, T, 64) MLP
+# hidden layer: one row, fewer rows than one block, exactly two blocks, two
+# blocks and a ragged 16-row third; then two stacked prompt sets of one batch.
+_BLOCK_ROWS = ad.GELU_BLOCK // 64
+
+
+@pytest.mark.parametrize("b, t, sets", [
+    (1, 1, 1), (3, 17, 1), (2 * _BLOCK_ROWS // 16, 16, 1), (2 * _BLOCK_ROWS // 16 + 1, 16, 1),
+    (4, 9, 2),
+])
+def test_attention_bit_identical_to_composition(b, t, sets):
+    """Forward and the q, k and v gradients equal the composed ops' bits, and
+    so does the gradient of the block input the three projections share,
+    which sums their products in the same order."""
+    rng = np.random.default_rng(21)
+    base = rng.normal(size=(b, t, 16))
+    xd = np.concatenate([base] + [np.concatenate(
+        [base[:, :1], rng.normal(size=(b, min(2, t - 1), 16)), base[:, 3:]], axis=1)
+        for _ in range(sets - 1)])
+    ws = [rng.normal(size=(16, 16)) * 0.5 for _ in range(3)]
+    g = rng.normal(size=xd.shape)
+
+    def run(attend, leaves):
+        x = Tensor(xd, requires_grad=True)
+        if leaves:
+            params = [Tensor(xd @ w, requires_grad=True) for w in ws]
+            q, k, v = params
+        else:
+            params = [x]
+            q, k, v = (ad.linear(x, Tensor(w)) for w in ws)
+        out = attend(q, k, v, 4)
+        grads = ad.backward(ad.tsum(out * Tensor(g)))
+        return [out.data] + [grads[p] for p in params]
+
+    for leaves in (True, False):
+        got, want = run(ad.attention, leaves), run(composed_attention, leaves)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_attention_rejects_mismatched_shapes():
+    q = Tensor(np.zeros((2, 3, 8)))
+    with pytest.raises(ShapeError):
+        ad.attention(q, Tensor(np.zeros((2, 4, 8))), q, 2)
+    with pytest.raises(ShapeError):
+        ad.attention(q, q, q, 3)
+
+
+@pytest.mark.parametrize("indices, axis", [
+    ([3, 0, 2], 0),       # unique
+    ([1, 3, 1, 1], 0),    # repeated
+    ([-1, 0, 2], 1),      # unique, one negative
+    ([4, -1], 1),         # the same column twice, once as a negative index
+])
+def test_take_gradient_bits_equal_add_at(indices, axis):
+    """Signed zeros included: np.add.at gives 0.0 + g, so -0.0 becomes +0.0."""
+    a = Tensor(np.arange(20.0).reshape(4, 5), requires_grad=True)
+    out = ad.take(a, indices, axis=axis)
+    g = np.random.default_rng(4).normal(size=out.shape)
+    g[..., 0] = -0.0
+    g.reshape(-1)[1] = 0.0
+    want = np.zeros_like(a.data)
+    np.add.at(want, (slice(None),) * axis + (np.asarray(indices),), g)
+    (got,) = out._vjp(g)
+    assert got.tobytes() == want.tobytes()
+    assert not np.any(np.signbit(got[got == 0.0]))
 
 
 def test_plogp_zero_convention():
@@ -374,6 +486,13 @@ def test_gradients_reductions_and_nn_ops():
     _fd_case("layernorm", lambda: ad.tsum(ad.layernorm(a, g, b) * w), [a, g, b])
     _fd_case("gelu", lambda: ad.tsum(ad.gelu(a) * w), [a])
     _fd_case("l2norm", lambda: ad.tsum(ad.l2_normalize(a) * w), [a])
+
+
+def test_gradients_attention():
+    rng = np.random.default_rng(10)
+    q, k, v = (Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True) for _ in range(3))
+    w = Tensor(rng.normal(size=(2, 3, 4)))
+    _fd_case("attention", lambda: ad.tsum(ad.attention(q, k, v, 2) * w), [q, k, v])
 
 
 def test_grad_check_sum_of_squares_is_tight():

@@ -815,3 +815,23 @@ def test_cli_eval_byte_identical_across_blas_threads(cli_workspace, tmp_path):
         outs.append(out)
     for name in ("records.jsonl", "summary.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("flag", ["--workers", "--limit"])
+def test_cli_adapt_has_no_dataset_flags(cli_workspace, tmp_path, capsys, flag):
+    """`adapt` runs one sample, so the dataset-run flags of eval and ablate
+    are unknown to it."""
+    ws = cli_workspace
+    rc = cli_main(["--config", str(ws["cfg"]), "--out", str(tmp_path / "a"),
+                   "adapt", "--ckpt", str(ws["ckpt"]), "--data", str(ws["data"] / "test"),
+                   "--stats", str(ws["stats"]), flag, "2"])
+    assert rc == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_zero_shot_top1_rejects_negative_limit(tiny_model, tiny_data):
+    val = tiny_data[1]
+    with pytest.raises(tl.ConfigurationError, match="limit must be >= 0"):
+        harness.zero_shot_top1(tiny_model, val, limit=-1)
+    n = val.meta.n_samples
+    assert harness.zero_shot_top1(tiny_model, val, limit=n) == harness.zero_shot_top1(tiny_model, val)
