@@ -38,7 +38,6 @@ from .model import (
 from .stats import (
     LayerStats,
     SourceStats,
-    central_moments,
     load_stats,
     save_stats,
     source_stats,

@@ -104,9 +104,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    def __len__(self):
-        return self.data.shape[0]
-
     # -- operators -----------------------------------------------------
 
     def __add__(self, other):
@@ -136,28 +133,11 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
     def __getitem__(self, key):
         return getitem(self, key)
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
     def mean(self, axis=None, keepdims=False):
         return tmean(self, axis=axis, keepdims=keepdims)
-
-    def backward(self):
-        return backward(self)
 
 
 def _as_tensor(x) -> Tensor:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import operator
+
 
 class TTAlignError(Exception):
     """Base class for all package errors."""
@@ -28,3 +30,11 @@ class CompatibilityError(TTAlignError):
 
 class FormatError(TTAlignError):
     """A binary file has a bad magic, version, or is truncated."""
+
+
+def check_int(name: str, value) -> int:
+    """``value`` as an int; a float, a string or None raises ConfigurationError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an int, got {value!r}") from None

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import CompatibilityError, ConfigurationError, ContractError, DataError, FormatError
-from .model import DualEncoder, ModelConfig, PromptState, predict
+from .model import DEFAULT_CLASS_NAMES, DualEncoder, ModelConfig, PromptState, predict
 from .seeds import philox
 from .stats import SourceStats
 from .tta import EpisodeResult, TTAConfig, adapt_and_predict
@@ -61,9 +61,7 @@ class GenConfig:
     n_test: int = 256
     image_size: int = 32
     channels: int = 1
-    class_names: tuple[str, ...] = (
-        "ripple", "checker", "diagonal", "grid", "bands", "waves", "mesh", "stripes",
-    )
+    class_names: tuple[str, ...] = DEFAULT_CLASS_NAMES
     noise_sigma: float = 0.25
     amplitude: float = 1.0
     shift: ShiftSpec = ShiftSpec()

@@ -383,11 +383,8 @@ class DualEncoder:
             .transpose(0, 2, 4, 1, 3, 5)
             .reshape(b, gh * gw, c * p * p)
         )
-        tokens = self.patch_proj_tokens(Tensor(patches))
+        tokens = self.vision.patch_proj(Tensor(patches)) + self.vision.pos[1:]
         return tokens[0] if single else tokens
-
-    def patch_proj_tokens(self, patches: Tensor) -> Tensor:
-        return self.vision.patch_proj(patches) + self.vision.pos[1:]
 
     def embed_image(self, images: np.ndarray, prompts: PromptState | None = None) -> Tensor:
         """Token matrix entering the first block for a batch (B, C, H, W):

@@ -2,11 +2,12 @@
 
 The test-sample side (``view_stats``) is computed inside the differentiable
 graph from the token matrices a forward pass records at every transformer
-layer: the view axis and the token axis collapse into one channel-wise mean
-and one biased variance vector per layer. The source side (``source_stats``)
-is the same quantity over a whole dataset, computed prompt-free with the
-frozen encoder in chunks of images and accumulated image by image in dataset
-order, so the result is independent of the chunk size.
+layer: the view axis and the token axis collapse into the channel-wise
+moments of orders 1..K per layer (the mean, the biased variance, then
+biased central moments). The source side (``source_stats``) is the same
+quantity over a whole dataset, computed prompt-free with the frozen encoder
+in chunks of images and accumulated image by image in dataset order, so the
+result is independent of the chunk size.
 
 Stats file layout (little-endian):
   magic        8 bytes  b"TDSTATS1"
@@ -16,8 +17,8 @@ Stats file layout (little-endian):
   max_order    u32
   dataset id   u32 length + UTF-8 bytes
   sample count u64
-  body         per layer: mu f64[dim], var f64[dim], then central moments
-               of orders 3..max_order, f64[dim] each (layer-major, order-major)
+  body         per layer: the moments of orders 1..max_order (mu, var, then
+               central moments), f64[dim] each (layer-major, order-major)
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import json
 import math
 import operator
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,11 +41,33 @@ STATS_MAGIC = b"TDSTATS1"
 
 @dataclass
 class LayerStats:
-    """Differentiable per-layer channel statistics of one test sample's views."""
+    """Per-layer channel statistics as a table of moments of orders 1..K.
 
-    mu: list[Tensor]
-    var: list[Tensor]
-    moments: dict[int, list[Tensor]] = field(default_factory=dict)
+    ``moments[1]`` is the mean, ``moments[2]`` the biased variance and
+    ``moments[k]``, k >= 3, the biased central moment of order k, each a list
+    with one entry per layer: Tensors for a test sample's views, arrays for
+    the source data.
+    """
+
+    moments: dict[int, list]
+
+    def __post_init__(self):
+        if len(self.moments) < 2 or set(self.moments) != set(range(1, len(self.moments) + 1)):
+            raise ContractError(
+                f"moments must hold orders 1..K with K >= 2, got orders {list(self.moments)}"
+            )
+
+    @property
+    def mu(self) -> list:
+        return self.moments[1]
+
+    @property
+    def var(self) -> list:
+        return self.moments[2]
+
+    @property
+    def max_order(self) -> int:
+        return len(self.moments)
 
     @property
     def n_layers(self) -> int:
@@ -56,24 +79,12 @@ class LayerStats:
 
 
 @dataclass
-class SourceStats:
+class SourceStats(LayerStats):
     """Offline channel statistics of the source dataset (plain arrays)."""
 
-    mu: list[np.ndarray]
-    var: list[np.ndarray]
-    moments: dict[int, list[np.ndarray]]
-    max_order: int
     dataset_id: str
     sample_count: int
     model_hash: str
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.mu)
-
-    @property
-    def dim(self) -> int:
-        return self.mu[0].shape[-1]
 
 
 def _check_max_order(max_order) -> None:
@@ -111,59 +122,50 @@ class RunningMoments:
             p = p * flat
             self._sums[j] += p.sum(axis=0)
 
-    def mean(self) -> np.ndarray:
-        return self._sums[0] / self.count
-
-    def central(self, order: int) -> np.ndarray:
-        if not 2 <= order <= self.max_order:
+    def moment(self, order: int) -> np.ndarray:
+        """The mean (order 1), the biased variance (order 2) or the biased
+        central moment of ``order``."""
+        if not 1 <= order <= self.max_order:
             raise ContractError(f"order {order} outside accumulated range")
-        mu = self.mean()
+        mu = self._sums[0] / self.count
+        if order == 1:
+            return mu
         raw = [np.ones(self.dim)] + [s / self.count for s in self._sums]
         out = np.zeros(self.dim)
         for j in range(order + 1):
             out += math.comb(order, j) * raw[j] * (-mu) ** (order - j)
-        return out
-
-    def variance(self) -> np.ndarray:
         # Cancellation can leave a tiny negative residue on constant channels.
-        return np.maximum(self.central(2), 0.0)
+        return np.maximum(out, 0.0) if order == 2 else out
 
 
 def view_stats(layer_tokens, token_indices, max_order: int = 2) -> LayerStats:
-    """Channel-wise mean/variance per layer over all views and selected tokens.
+    """Channel-wise moments of orders 1..max_order per layer over all views
+    and selected tokens: the mean, the biased variance, then biased central
+    moments.
 
     ``layer_tokens`` is the list of (n_views, tokens, dim) tensors a forward
     pass records; ``token_indices`` picks the token positions that contribute
     (the patch positions, upstream). Differentiable w.r.t. anything the
-    tokens depend on. ``max_order > 2`` additionally fills biased central
-    moments of orders 3..max_order. Tokens of S prompt sets,
-    (S, n_views, tokens, dim), give (S, dim) statistics, one row per set.
+    tokens depend on. Tokens of S prompt sets, (S, n_views, tokens, dim),
+    give (S, dim) statistics, one row per set.
     """
     idx = np.asarray(token_indices, dtype=np.intp)
     if idx.size == 0:
         raise ContractError("token mask selects no positions")
     _check_max_order(max_order)
-    mus, variances = [], []
-    moments: dict[int, list[Tensor]] = {k: [] for k in range(3, max_order + 1)}
+    moments: dict[int, list[Tensor]] = {k: [] for k in range(1, max_order + 1)}
     for x in layer_tokens:
         lead = x.ndim - 3  # 1 with a set axis
         axes = (lead, lead + 1)
         sel = ad.take(x, idx, axis=lead + 1)
         mu = sel.mean(axis=axes)
         dev = sel - (ad.reshape(mu, (mu.shape[0], 1, 1, -1)) if lead else mu)
-        mus.append(mu)
-        power = dev * dev
-        variances.append(power.mean(axis=axes))
-        for k in range(3, max_order + 1):
+        moments[1].append(mu)
+        power = dev
+        for k in range(2, max_order + 1):
             power = power * dev  # dev^k left to right, as RunningMoments.add multiplies
             moments[k].append(power.mean(axis=axes))
-    return LayerStats(mu=mus, var=variances, moments=moments)
-
-
-def central_moments(layer_tokens, token_indices, max_order: int) -> dict[int, list[Tensor]]:
-    """Biased central moments of orders 2..max_order per layer and channel."""
-    stats = view_stats(layer_tokens, token_indices, max_order=max_order)
-    return {2: stats.var, **stats.moments}
+    return LayerStats(moments)
 
 
 def source_stats(
@@ -197,12 +199,7 @@ def source_stats(
 
     assert accs is not None
     return SourceStats(
-        mu=[a.mean() for a in accs],
-        var=[a.variance() for a in accs],
-        moments={
-            k: [a.central(k) for a in accs] for k in range(3, max_order + 1)
-        },
-        max_order=max_order,
+        moments={k: [a.moment(k) for a in accs] for k in range(1, max_order + 1)},
         dataset_id=dataset_id,
         sample_count=int(images.shape[0]),
         model_hash=model.frozen_hash(),
@@ -222,9 +219,7 @@ def save_stats(stats: SourceStats, path) -> None:
         fh.write(did)
         fh.write(struct.pack("<Q", stats.sample_count))
         for layer in range(stats.n_layers):
-            fh.write(np.ascontiguousarray(stats.mu[layer], dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(stats.var[layer], dtype="<f8").tobytes())
-            for k in range(3, stats.max_order + 1):
+            for k in range(1, stats.max_order + 1):
                 fh.write(np.ascontiguousarray(stats.moments[k][layer], dtype="<f8").tobytes())
 
 
@@ -265,19 +260,13 @@ def load_stats(path, expected_model_hash: str | None = None) -> SourceStats:
     def read_vec() -> np.ndarray:
         return np.frombuffer(read(8 * dim), dtype="<f8").astype(np.float64)
 
-    mu, var = [], []
-    moments: dict[int, list[np.ndarray]] = {k: [] for k in range(3, max_order + 1)}
+    moments: dict[int, list[np.ndarray]] = {k: [] for k in range(1, max_order + 1)}
     for _ in range(n_layers):
-        mu.append(read_vec())
-        var.append(read_vec())
-        for k in range(3, max_order + 1):
+        for k in range(1, max_order + 1):
             moments[k].append(read_vec())
 
     stats = SourceStats(
-        mu=mu,
-        var=var,
         moments=moments,
-        max_order=max_order,
         dataset_id=dataset_id,
         sample_count=sample_count,
         model_hash=model_hash,
@@ -302,12 +291,8 @@ def stats_to_json(stats: SourceStats) -> dict:
         "sample_count": stats.sample_count,
         "layers": [
             {
-                "mu": stats.mu[i].tolist(),
-                "var": stats.var[i].tolist(),
-                **{
-                    f"m{k}": stats.moments[k][i].tolist()
-                    for k in range(3, stats.max_order + 1)
-                },
+                {1: "mu", 2: "var"}.get(k, f"m{k}"): stats.moments[k][i].tolist()
+                for k in range(1, stats.max_order + 1)
             }
             for i in range(stats.n_layers)
         ],

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .augment import DEFAULT_MIN_SCALE, generate_views
-from .errors import CompatibilityError, ConfigurationError, ContractError, DataError
+from .errors import CompatibilityError, ConfigurationError, ContractError, DataError, check_int
 from .model import DualEncoder, ModelConfig, PromptState, classify
 from .optim import AdamW
 from .seeds import philox
@@ -49,6 +49,11 @@ class TTAConfig:
     crop_min_scale: float = DEFAULT_MIN_SCALE
 
     def __post_init__(self):
+        object.__setattr__(self, "align_layers", tuple(self.align_layers))
+        for name in ("n_views", "n_steps", "seed"):
+            check_int(name, getattr(self, name))
+        for layer in self.align_layers:
+            check_int("align_layers entry", layer)
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ConfigurationError(f"beta must be finite and >= 0, got {self.beta}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -74,7 +79,6 @@ class TTAConfig:
                 f"mode must be 'episodic', got {self.mode!r} (continuous mode was removed)"
             )
         parse_align_variant(self.align_loss)
-        object.__setattr__(self, "align_layers", tuple(self.align_layers))
         if not self.align_layers:
             raise ConfigurationError("align_layers must name at least one layer")
 
@@ -175,40 +179,25 @@ def align_loss(
             )
     if test.dim != source.dim:
         raise ContractError(f"stat dims differ: test {test.dim} vs source {source.dim}")
-    if kind == "cmd":
-        if source.max_order < order or any(k not in test.moments for k in range(3, order + 1)):
-            raise ContractError(
-                f"cmd-{order} needs central moments up to order {order} on both sides"
-            )
+    if min(test.max_order, source.max_order) < order:
+        raise ContractError(f"{variant} needs moments up to order {order} on both sides")
 
     total = None
     for l in layers:
         i = l - 1
-        mu_t, var_t = test.mu[i], test.var[i]
-        mu_s = Tensor(source.mu[i])
-        if kind == "l1":
-            term = ad.tsum(ad.absolute(mu_t - mu_s), axis=-1) + ad.tsum(
-                ad.absolute(var_t - Tensor(source.var[i])), axis=-1
-            )
-        elif kind == "l2":
-            dm = mu_t - mu_s
-            dv = var_t - Tensor(source.var[i])
-            term = ad.tsum(dm * dm, axis=-1) + ad.tsum(dv * dv, axis=-1)
-        elif kind == "kl":
-            vt = ad.clip_min(var_t, KL_VAR_FLOOR)
+        if kind == "kl":
+            vt = ad.clip_min(test.var[i], KL_VAR_FLOOR)
             vs = Tensor(np.maximum(source.var[i], KL_VAR_FLOOR))
-            dm = mu_t - mu_s
+            dm = test.mu[i] - Tensor(source.mu[i])
             term = ad.tmean(
                 0.5 * (ad.log(vs) - ad.log(vt)) + (vt + dm * dm) / (2.0 * vs) - 0.5, axis=-1
             )
-        else:  # cmd
-            term = ad.tsum(ad.absolute(mu_t - mu_s), axis=-1) + ad.tsum(
-                ad.absolute(var_t - Tensor(source.var[i])), axis=-1
-            )
-            for k in range(3, order + 1):
-                term = term + ad.tsum(
-                    ad.absolute(test.moments[k][i] - Tensor(source.moments[k][i])), axis=-1
-                )
+        else:  # l1, l2 and cmd-K: one distance per order, summed over channels
+            term = None
+            for k in range(1, order + 1):
+                d = test.moments[k][i] - Tensor(source.moments[k][i])
+                t = ad.tsum(d * d if kind == "l2" else ad.absolute(d), axis=-1)
+                term = t if term is None else term + t
         total = term if total is None else total + term
     return total / float(len(layers))
 
@@ -268,7 +257,7 @@ def adapt_and_predict(
 
     params = prompts.parameters(include_coupling=config.update_coupling)
     optimizer = AdamW(params, lr=config.learning_rate, weight_decay=config.weight_decay)
-    kind, order = parse_align_variant(config.align_loss)
+    _, order = parse_align_variant(config.align_loss)
 
     result = EpisodeResult(predicted=-1, probs=np.empty(0))
     if config.n_steps > 0:
@@ -292,8 +281,7 @@ def adapt_and_predict(
             l_ent = entropy_loss(probs, np.arange(kept.size))
             l_align = None
             if config.beta > 0.0:
-                tstats = view_stats(layer_tokens, model.token_indices(prompted=True),
-                                    max_order=order if kind == "cmd" else 2)
+                tstats = view_stats(layer_tokens, model.token_indices(prompted=True), order)
                 l_align = align_loss(tstats, source_stats, config.align_layers, config.align_loss)
             l_final = combined_loss(l_ent, l_align, config.beta)
 
@@ -426,13 +414,8 @@ def gradient_suite(
             kept = confidence_filter(probs.data, 0.25)
             tstats = view_stats(layer_tokens, token_idx, max_order=5)
             margins = [
-                np.min(np.abs(tstats.mu[i].data - src.mu[i])) for i in range(len(src.mu))
-            ] + [
-                np.min(np.abs(tstats.var[i].data - src.var[i])) for i in range(len(src.var))
-            ] + [
-                np.min(np.abs(tstats.moments[k][i].data - src.moments[k][i]))
-                for k in (3, 4, 5)
-                for i in range(len(src.mu))
+                np.min(np.abs(t.data - s)) for k in src.moments
+                for t, s in zip(tstats.moments[k], src.moments[k])
             ]
             if min(margins) < 1e-6:
                 continue

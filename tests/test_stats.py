@@ -93,7 +93,7 @@ def test_view_stats_gradients_match_fd(tiny_model):
 
 def test_odd_moments_of_symmetric_data_vanish():
     tokens = [ad.Tensor(np.array([[[-1.0]], [[1.0]]]))]
-    moments = st.central_moments(tokens, np.array([0]), max_order=5)
+    moments = st.view_stats(tokens, np.array([0]), max_order=5).moments
     assert moments[3][0].item() == 0.0
     assert moments[5][0].item() == 0.0
 
@@ -102,13 +102,13 @@ def test_order_two_equals_variance():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(4, 6, 3))
     stats = st.view_stats([ad.Tensor(x)], np.arange(6))
-    moments = st.central_moments([ad.Tensor(x)], np.arange(6), max_order=4)
+    moments = st.view_stats([ad.Tensor(x)], np.arange(6), max_order=4).moments
     npt.assert_allclose(moments[2][0].data, stats.var[0].data, atol=1e-12)
 
 
 def test_order_four_of_plus_minus_one():
     tokens = [ad.Tensor(np.array([[[-1.0]], [[1.0]]]))]
-    moments = st.central_moments(tokens, np.array([0]), max_order=4)
+    moments = st.view_stats(tokens, np.array([0]), max_order=4).moments
     assert moments[4][0].item() == 1.0
 
 
@@ -119,7 +119,7 @@ def test_view_stats_moments_are_left_to_right_products(k):
     x = np.random.default_rng(11).normal(size=(5, 7, 3))
     dev = x - x.mean(axis=(0, 1))
     chain = functools.reduce(np.multiply, [dev] * k)
-    moments = st.central_moments([ad.Tensor(x)], np.arange(7), max_order=6)
+    moments = st.view_stats([ad.Tensor(x)], np.arange(7), max_order=6).moments
     assert moments[k][0].data.tobytes() == chain.mean(axis=(0, 1)).tobytes()
 
 
@@ -133,19 +133,21 @@ def test_view_stats_moment_gradients_on_negative_tokens(sign, k):
     w = ad.Tensor(rng.normal(size=2))
 
     def loss():
-        return ad.tsum(st.central_moments([a], np.arange(4), max_order=5)[k][0] * w)
+        return ad.tsum(st.view_stats([a], np.arange(4), max_order=5).moments[k][0] * w)
 
     assert ad.grad_check(loss, [a], step=1e-5) < 1e-4
 
 
 def test_central_moments_reject_low_order():
-    with pytest.raises(ContractError):
-        st.central_moments([ad.Tensor(np.zeros((2, 2, 2)))], np.array([0]), max_order=1)
+    """A moment table holds exactly the orders 1..K, K >= 2."""
+    for orders in [(1,), (1, 3), (2, 3), (0, 1, 2)]:
+        with pytest.raises(ContractError, match="orders 1..K with K >= 2"):
+            st.LayerStats({k: [np.zeros(2)] for k in orders})
 
 
 @pytest.mark.parametrize("build", [
     lambda order: st.view_stats([ad.Tensor(np.zeros((2, 2, 2)))], np.array([0]), order),
-    lambda order: st.central_moments([ad.Tensor(np.zeros((2, 2, 2)))], np.array([0]), order),
+    lambda order: st.view_stats([ad.Tensor(np.zeros((2, 2, 2)))], np.array([0]), order).moments,
     lambda order: st.RunningMoments(2, order),
 ], ids=["view_stats", "central_moments", "RunningMoments"])
 @pytest.mark.parametrize("order", [3.5, 4.0, "4", None, True, 1])
@@ -165,10 +167,10 @@ def test_streaming_equals_two_pass_on_random_blocks():
         for b in blocks:
             acc.add(b)
         stacked = np.concatenate(blocks)[:, None, :]
-        npt.assert_allclose(acc.mean(), two_pass_oracle(stacked, 1), atol=1e-10)
-        npt.assert_allclose(acc.variance(), two_pass_oracle(stacked, 2), atol=1e-10)
+        npt.assert_allclose(acc.moment(1), two_pass_oracle(stacked, 1), atol=1e-10)
+        npt.assert_allclose(acc.moment(2), two_pass_oracle(stacked, 2), atol=1e-10)
         for k in (3, 4, 5):
-            npt.assert_allclose(acc.central(k), two_pass_oracle(stacked, k), atol=1e-10)
+            npt.assert_allclose(acc.moment(k), two_pass_oracle(stacked, k), atol=1e-10)
 
 
 def test_streaming_block_split_is_bit_exact():
@@ -179,8 +181,8 @@ def test_streaming_block_split_is_bit_exact():
     b = st.RunningMoments(3, 4)
     for row in data:
         b.add(row[None])
-    assert np.array_equal(a.mean(), b.mean())
-    assert np.array_equal(a.central(4), b.central(4))
+    assert np.array_equal(a.moment(1), b.moment(1))
+    assert np.array_equal(a.moment(4), b.moment(4))
 
 
 # -- source statistics ----------------------------------------------------------
@@ -214,10 +216,10 @@ def test_source_stats_equals_per_image_accumulation(tiny_model, tiny_data, n, fl
                           tiny_model, max_order=5)
     assert got.sample_count == n
     for layer, acc in enumerate(accs):
-        assert np.array_equal(got.mu[layer], acc.mean())
-        assert np.array_equal(got.var[layer], acc.variance())
+        assert np.array_equal(got.mu[layer], acc.moment(1))
+        assert np.array_equal(got.var[layer], acc.moment(2))
         for k in range(3, 6):
-            assert np.array_equal(got.moments[k][layer], acc.central(k))
+            assert np.array_equal(got.moments[k][layer], acc.moment(k))
 
 
 def test_source_stats_duplication_invariant(tiny_model):

@@ -89,17 +89,11 @@ def test_entropy_requires_kept_views():
 
 
 def _stats_pair(mu_t, var_t, mu_s, var_s, moments_t=None, moments_s=None):
-    test = st.LayerStats(
-        mu=[ad.Tensor(np.atleast_1d(mu_t))],
-        var=[ad.Tensor(np.atleast_1d(var_t))],
-        moments={k: [ad.Tensor(np.atleast_1d(v))] for k, v in (moments_t or {}).items()},
-    )
-    max_order = max([2] + list((moments_s or {}).keys()))
+    table_t = {1: mu_t, 2: var_t, **(moments_t or {})}
+    table_s = {1: mu_s, 2: var_s, **(moments_s or {})}
+    test = st.LayerStats({k: [ad.Tensor(np.atleast_1d(v))] for k, v in table_t.items()})
     source = st.SourceStats(
-        mu=[np.atleast_1d(mu_s)],
-        var=[np.atleast_1d(var_s)],
-        moments={k: [np.atleast_1d(v)] for k, v in (moments_s or {}).items()},
-        max_order=max_order,
+        moments={k: [np.atleast_1d(v)] for k, v in table_s.items()},
         dataset_id="test",
         sample_count=1,
         model_hash="00" * 32,
@@ -151,13 +145,13 @@ def test_align_cmd_adds_moment_terms():
 def test_align_layer_averaging():
     rng = np.random.default_rng(4)
     mu = rng.normal(size=3)
-    test = st.LayerStats(
-        mu=[ad.Tensor(mu), ad.Tensor(mu + 1.0)],
-        var=[ad.Tensor(np.ones(3)), ad.Tensor(np.ones(3))],
-    )
+    test = st.LayerStats({
+        1: [ad.Tensor(mu), ad.Tensor(mu + 1.0)],
+        2: [ad.Tensor(np.ones(3)), ad.Tensor(np.ones(3))],
+    })
     source = st.SourceStats(
-        mu=[mu.copy(), mu.copy()], var=[np.ones(3), np.ones(3)],
-        moments={}, max_order=2, dataset_id="", sample_count=1, model_hash="00" * 32,
+        moments={1: [mu.copy(), mu.copy()], 2: [np.ones(3), np.ones(3)]},
+        dataset_id="", sample_count=1, model_hash="00" * 32,
     )
     one = tl.align_loss(test, source, (2,), "l1").item()
     both = tl.align_loss(test, source, (1, 2), "l1").item()
@@ -185,10 +179,10 @@ def test_align_l1_gradient_larger_than_l2_for_small_deviations():
         mu_s = rng.normal(size=8)
         for variant in ("l1", "l2"):
             mu_t = ad.Tensor(mu_s + dev, requires_grad=True)
-            test = st.LayerStats(mu=[mu_t], var=[ad.Tensor(np.full(8, 0.015))])
+            test = st.LayerStats({1: [mu_t], 2: [ad.Tensor(np.full(8, 0.015))]})
             source = st.SourceStats(
-                mu=[mu_s], var=[np.full(8, 0.015)], moments={},
-                max_order=2, dataset_id="", sample_count=1, model_hash="00" * 32,
+                moments={1: [mu_s], 2: [np.full(8, 0.015)]},
+                dataset_id="", sample_count=1, model_hash="00" * 32,
             )
             g = ad.backward(tl.align_loss(test, source, (1,), variant))[mu_t]
             grads[variant].append(np.mean(np.abs(g)))
@@ -225,10 +219,10 @@ def test_combined_gradient_is_sum_of_components():
     probs = ad.softmax(ad.reshape(mu_t, (1, 4)) * 3.0, axis=-1)
 
     def parts():
-        test = st.LayerStats(mu=[mu_t], var=[ad.Tensor(np.ones(4))])
+        test = st.LayerStats({1: [mu_t], 2: [ad.Tensor(np.ones(4))]})
         source = st.SourceStats(
-            mu=[mu_s], var=[np.ones(4)], moments={},
-            max_order=2, dataset_id="", sample_count=1, model_hash="00" * 32,
+            moments={1: [mu_s], 2: [np.ones(4)]},
+            dataset_id="", sample_count=1, model_hash="00" * 32,
         )
         l_ent = tta.entropy_loss(ad.softmax(ad.reshape(mu_t, (1, 4)) * 3.0, axis=-1), np.array([0]))
         l_align = tl.align_loss(test, source, (1,), "l1")
@@ -520,6 +514,21 @@ def test_config_validation():
     for kwargs in bad_model:
         with pytest.raises(ConfigurationError):
             tl.ModelConfig(**kwargs)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tl.TTAConfig(n_views=2.5),
+    lambda: tl.TTAConfig(n_steps=1.5),
+    lambda: tl.TTAConfig(seed=1.5),
+    lambda: tl.TTAConfig(seed="1"),
+    lambda: tl.TTAConfig(align_layers=(1, 2.0)),
+    lambda: generate_views(np.zeros((1, 16, 16)), 8, 1.5),
+], ids=["n_views", "n_steps", "seed", "seed-str", "align_layers", "view-seed"])
+def test_integer_fields_reject_non_integers(build):
+    """A float that would truncate, or a string, never stands in for an int;
+    a Philox seed of 1.5 would otherwise draw the views of seed 1."""
+    with pytest.raises(ConfigurationError, match="must be an int"):
+        build()
 
 
 @pytest.mark.parametrize("kwargs", [
