@@ -43,16 +43,6 @@ else:
 _uid = itertools.count()
 _state = threading.local()
 
-# Optional forward-value finiteness checks (invariant: finite in -> finite out).
-_debug_checks = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Enable NaN/Inf checks on every op output (slow; for tests)."""
-    global _debug_checks
-    _debug_checks = bool(enabled)
-
-
 def _grad_enabled() -> bool:
     return getattr(_state, "grad_enabled", True)
 
@@ -158,8 +148,6 @@ def _node(data: np.ndarray, parents, vjp) -> Tensor:
         out.requires_grad = False
         out._parents = ()
         out._vjp = None
-    if _debug_checks and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite value produced by a forward op")
     return out
 
 

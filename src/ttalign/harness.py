@@ -232,6 +232,11 @@ def load_dataset(directory) -> DatasetBundle:
         raise FormatError(f"meta.txt missing key {exc}") from exc
     except ValueError as exc:
         raise FormatError(f"meta.txt has a malformed value: {exc}") from exc
+    if meta.n_samples < 0 or min(meta.channels, meta.height, meta.width) < 1:
+        raise FormatError(
+            f"meta.txt needs n_samples >= 0 and channels, height, width >= 1, got "
+            f"{meta.n_samples}, {meta.channels}, {meta.height}, {meta.width}"
+        )
     if meta.n_classes != len(meta.class_names):
         raise FormatError(
             f"meta.txt n_classes={meta.n_classes} but it names {len(meta.class_names)} classes"

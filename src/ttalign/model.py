@@ -26,13 +26,13 @@ import io
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigurationError, DataError, FormatError, ShapeError
+from .errors import ConfigurationError, DataError, FormatError, ShapeError, check_int
 from .optim import AdamW
 from .seeds import philox
 
@@ -66,9 +66,9 @@ class ModelConfig:
     class_names: tuple[str, ...] = DEFAULT_CLASS_NAMES
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, int) and value < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {value}")
+        for f in fields(self):
+            if f.type == "int" and check_int(f.name, getattr(self, f.name)) < 1:
+                raise ConfigurationError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
         if not (math.isfinite(self.temperature) and self.temperature > 0):
             raise ConfigurationError(f"temperature must be finite and > 0, got {self.temperature}")
         if self.image_size % self.patch_size != 0:
@@ -118,17 +118,12 @@ class ModelConfig:
 
 
 class _Linear:
-    def __init__(self, rng, d_in: int, d_out: int, bias: bool = True):
+    def __init__(self, rng, d_in: int, d_out: int):
         self.w = Tensor(rng.normal(0.0, 1.0 / np.sqrt(d_in), (d_in, d_out)))
-        self.b = Tensor(np.zeros(d_out)) if bias else None
+        self.b = Tensor(np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.linear(x, self.w, self.b)
-
-    def params(self, prefix: str):
-        yield f"{prefix}.w", self.w
-        if self.b is not None:
-            yield f"{prefix}.b", self.b
 
 
 class _LayerNorm:
@@ -138,10 +133,6 @@ class _LayerNorm:
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layernorm(x, self.gamma, self.beta)
-
-    def params(self, prefix: str):
-        yield f"{prefix}.gamma", self.gamma
-        yield f"{prefix}.beta", self.beta
 
 
 class _Attention:
@@ -154,10 +145,6 @@ class _Attention:
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.wo(ad.attention(self.wq(x), self.wk(x), self.wv(x), self.n_heads))
-
-    def params(self, prefix: str):
-        for name, lin in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
-            yield from lin.params(f"{prefix}.{name}")
 
 
 class _Block:
@@ -173,13 +160,6 @@ class _Block:
     def __call__(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.ln1(x))
         return x + self.fc2(ad.gelu(self.fc1(self.ln2(x))))
-
-    def params(self, prefix: str):
-        yield from self.ln1.params(f"{prefix}.ln1")
-        yield from self.attn.params(f"{prefix}.attn")
-        yield from self.ln2.params(f"{prefix}.ln2")
-        yield from self.fc1.params(f"{prefix}.fc1")
-        yield from self.fc2.params(f"{prefix}.fc2")
 
 
 # -- prompts -----------------------------------------------------------------
@@ -272,7 +252,6 @@ def _unfold_sets(x: Tensor, sets: int) -> Tensor:
 
 class VisionEncoder:
     def __init__(self, rng, config: ModelConfig):
-        self.config = config
         d = config.embed_dim_v
         patch_dim = config.channels * config.patch_size**2
         self.patch_proj = _Linear(rng, patch_dim, d)
@@ -285,19 +264,9 @@ class VisionEncoder:
         self.ln_post = _LayerNorm(d)
         self.proj = Tensor(rng.normal(0.0, 1.0 / np.sqrt(d), (d, config.feature_dim)))
 
-    def params(self, prefix: str = "vision"):
-        yield from self.patch_proj.params(f"{prefix}.patch_proj")
-        yield f"{prefix}.cls", self.cls
-        yield f"{prefix}.pos", self.pos
-        for i, blk in enumerate(self.blocks):
-            yield from blk.params(f"{prefix}.blocks.{i}")
-        yield from self.ln_post.params(f"{prefix}.ln_post")
-        yield f"{prefix}.proj", self.proj
-
 
 class TextEncoder:
     def __init__(self, rng, config: ModelConfig):
-        self.config = config
         d = config.embed_dim_t
         self.token_table = Tensor(rng.normal(0.0, 0.02, (len(config.vocab), d)))
         self.pos = Tensor(rng.normal(0.0, 0.02, (config.text_seq_len, d)))
@@ -308,13 +277,18 @@ class TextEncoder:
         self.ln_final = _LayerNorm(d)
         self.proj = Tensor(rng.normal(0.0, 1.0 / np.sqrt(d), (d, config.feature_dim)))
 
-    def params(self, prefix: str = "text"):
-        yield f"{prefix}.token_table", self.token_table
-        yield f"{prefix}.pos", self.pos
-        for i, blk in enumerate(self.blocks):
-            yield from blk.params(f"{prefix}.blocks.{i}")
-        yield from self.ln_final.params(f"{prefix}.ln_final")
-        yield f"{prefix}.proj", self.proj
+
+def _named_tensors(obj, prefix: str):
+    """(attribute path, tensor) for every Tensor reachable from ``obj``: its
+    attributes in assignment order, list items by index (``blocks.3``)."""
+    if isinstance(obj, Tensor):
+        yield prefix, obj
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from _named_tensors(item, f"{prefix}.{i}")
+    elif isinstance(obj, (VisionEncoder, TextEncoder, _Block, _Attention, _Linear, _LayerNorm)):
+        for name, value in vars(obj).items():
+            yield from _named_tensors(value, f"{prefix}.{name}")
 
 
 class DualEncoder:
@@ -341,7 +315,7 @@ class DualEncoder:
     # -- parameters ---------------------------------------------------------
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return list(self.vision.params()) + list(self.text.params())
+        return [*_named_tensors(self.vision, "vision"), *_named_tensors(self.text, "text")]
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
@@ -410,14 +384,22 @@ class DualEncoder:
         tokens with its own layer's vision prompts. Returns the output tokens
         and the list of each block's output.
         """
+        layer_prompt = None if prompts is None else prompts.vision_prompt
         sets = prompt_sets(prompts)
-        v = self.config.n_prompt_tokens
+        return self._run_prompted(self.vision.blocks, x, lo, hi, layer_prompt, sets)
+
+    def _run_prompted(self, blocks, x: Tensor, lo: int, hi: int, layer_prompt, sets):
+        """The deep-prompting rule of both branches: run ``blocks[lo:hi]``,
+        and before each block i in 1..prompt_depth-1 replace the prompt tokens
+        after the first token with ``layer_prompt(i)`` (none when
+        ``layer_prompt`` is None). Returns the output and each block's output."""
+        t = self.config.n_prompt_tokens
         layer_tokens: list[Tensor] = []
         for i in range(lo, hi):
-            if prompts is not None and 1 <= i < self.config.prompt_depth:
-                pv = _prompt_rows(prompts.vision_prompt(i), x.shape[0], sets)
-                x = ad.concat([x[:, :1], pv, x[:, 1 + v :]], axis=1)
-            x = self.vision.blocks[i](x)
+            if layer_prompt is not None and 1 <= i < self.config.prompt_depth:
+                p = _prompt_rows(layer_prompt(i), x.shape[0], sets)
+                x = ad.concat([x[:, :1], p, x[:, 1 + t :]], axis=1)
+            x = blocks[i](x)
             layer_tokens.append(x)
         return x, layer_tokens
 
@@ -457,7 +439,6 @@ class DualEncoder:
         (C, f), or (S, C, f) when a text prompt carries a set axis of S sets.
         Sets that differ only in their coupling maps share one (C, f) result.
         """
-        t = self.config.n_prompt_tokens
         sets = prompt_sets(prompts)
         if sets is not None and all(p.ndim == 2 for p in prompts.text_prompts):
             sets = None
@@ -465,19 +446,13 @@ class DualEncoder:
         emb = ad.take(self.text.token_table, self._class_ids, axis=0) + self.text.pos
         if sets is not None:
             emb = ad.concat([emb] * sets, axis=0)
-        b = emb.shape[0]
+        x, layer_prompt = emb, None
         if prompts is not None:
-            pt = _prompt_rows(prompts.text_prompts[0], b, sets)
+            layer_prompt = prompts.text_prompts.__getitem__
+            pt = _prompt_rows(layer_prompt(0), emb.shape[0], sets)
             x = ad.concat([emb[:, :1], pt, emb[:, 1:]], axis=1)
-        else:
-            x = emb
-
-        for i, blk in enumerate(self.text.blocks):
-            if prompts is not None and 1 <= i < self.config.prompt_depth:
-                pt = _prompt_rows(prompts.text_prompts[i], b, sets)
-                x = ad.concat([x[:, :1], pt, x[:, 1 + t :]], axis=1)
-            x = blk(x)
-
+        n_layers = self.config.n_text_layers
+        x, _ = self._run_prompted(self.text.blocks, x, 0, n_layers, layer_prompt, sets)
         feat = ad.l2_normalize(ad.matmul(self.text.ln_final(x[:, -1]), self.text.proj))
         return feat if sets is None else _unfold_sets(feat, sets)
 
@@ -633,9 +608,10 @@ def load_checkpoint(path) -> DualEncoder:
         cfg_dict = json.loads(bytes(read(cfg_len)).decode())
         cfg_dict["class_names"] = tuple(cfg_dict["class_names"])
         config = ModelConfig(**cfg_dict)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, ConfigurationError) as exc:
         # ValueError covers undecodable bytes and malformed JSON; TypeError an
-        # unknown key or a non-object; KeyError a missing class list.
+        # unknown key or a non-object; KeyError a missing class list;
+        # ConfigurationError a value ModelConfig refuses.
         raise FormatError(f"bad checkpoint config: {type(exc).__name__}: {exc}") from exc
 
     model = DualEncoder(config, seed=0)

@@ -14,18 +14,11 @@ class AdamW:
     then p <- p - lr*wd*p - lr * m_hat / (sqrt(v_hat) + eps).
     """
 
-    def __init__(
-        self,
-        params,
-        lr: float,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr: float, weight_decay: float = 0.0):
         self.params: list[Tensor] = list(params)
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]

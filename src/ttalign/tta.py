@@ -408,7 +408,7 @@ def gradient_suite(
             text_feats = mdl.encode_text(prompts=prompts)
             probs = classify(feats, text_feats, mdl.temperature)
             ent = np.sort(shannon_entropy(probs.data))
-            keep = max(1, int(np.floor(0.25 * n_views)))
+            keep = kept_count(n_views, 0.25)
             if len(ent) > keep and ent[keep] - ent[keep - 1] < 1e-6:
                 continue
             kept = confidence_filter(probs.data, 0.25)

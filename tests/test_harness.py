@@ -128,6 +128,36 @@ def test_dataset_n_classes_must_match_class_names(tmp_path):
         harness.load_dataset(tmp_path / "ds")
 
 
+def _set_meta(directory, fields, n_floats):
+    """Rewrite ``fields`` in meta.txt and give it ``n_floats`` zero pixels
+    and n_samples labels (none when negative)."""
+    meta = directory / "meta.txt"
+    lines = [
+        f"{k}={fields[k]}" if k in fields else f"{k}={v}"
+        for k, v in (line.split("=", 1) for line in meta.read_text().splitlines())
+    ]
+    meta.write_text("\n".join(lines) + "\n")
+    np.zeros(n_floats, "<f4").tofile(directory / "images.f32")
+    np.zeros(max(fields["n_samples"], 0), "<u4").tofile(directory / "labels.u32")
+
+
+@pytest.mark.parametrize("fields, n_floats", [
+    ({"n_samples": 0, "channels": -1}, 0),
+    ({"n_samples": 1, "height": -4, "width": -4}, 16),
+    ({"n_samples": -1, "channels": -1}, 16),
+    ({"n_samples": 0, "width": 0}, 0),
+], ids=["negative-channels", "negative-height-width", "negative-samples", "zero-width"])
+def test_dataset_meta_rejects_bad_dimensions(tmp_path, fields, n_floats):
+    """Dimensions whose product still matches the image file would otherwise
+    reach numpy's reshape and end in a raw ValueError, or load as a dataset
+    of zero-width images."""
+    src, _ = harness.gen_synthetic(TINY_GEN, seed=8)
+    harness.save_dataset(src, tmp_path / "ds")
+    _set_meta(tmp_path / "ds", fields, n_floats)
+    with pytest.raises(FormatError, match="n_samples >= 0"):
+        harness.load_dataset(tmp_path / "ds")
+
+
 def test_dataset_meta_not_utf8(tmp_path):
     src, _ = harness.gen_synthetic(TINY_GEN, seed=8)
     harness.save_dataset(src, tmp_path / "ds")
@@ -775,6 +805,21 @@ def test_cli_malformed_meta_exits_2(cli_workspace, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: meta.txt has a malformed value") and err.count("\n") == 1, err
+
+
+def test_cli_negative_meta_dimension_exits_2(cli_workspace, tmp_path, capsys):
+    ws = cli_workspace
+    data = tmp_path / "test"
+    data.mkdir()
+    for name in ("meta.txt", "images.f32", "labels.u32"):
+        (data / name).write_bytes((ws["data"] / "test" / name).read_bytes())
+    _set_meta(data, {"n_samples": 1, "height": -4, "width": -4}, 16)
+    rc = cli_main(["--config", str(ws["cfg"]), "--out", str(tmp_path / "e"),
+                   "eval", "--ckpt", str(ws["ckpt"]), "--data", str(data),
+                   "--stats", str(ws["stats"]), "--limit", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: meta.txt needs n_samples >= 0") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("command", ["adapt", "eval"])

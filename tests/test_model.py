@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -339,13 +342,22 @@ def _rewrite_config(path, edit):
     path.write_bytes(raw[:12] + struct.pack("<I", len(cfg)) + cfg + raw[16 + cfg_len :])
 
 
+def _set_config(**fields):
+    return lambda c: json.dumps({**json.loads(c), **fields}).encode()
+
+
 @pytest.mark.parametrize("edit", [
     lambda c: c.replace(b'"channels"', b'"chanels"'),  # unknown key
     lambda c: c.replace(b'"class_names"', b'"class_nomes"'),  # missing class names
     lambda c: c.replace(b'"ripple"', b'"r\xffpple"'),
     lambda c: c[:-1],  # malformed JSON
     lambda c: b"[1, 2]",  # not an object
-], ids=["unknown-key", "no-class-names", "not-utf8", "bad-json", "not-object"])
+    _set_config(embed_dim_v=16.0),  # a float in an int field
+    _set_config(mlp_ratio=2.5),
+    _set_config(n_heads=2.0),  # would load and fail only at the first forward
+    _set_config(n_heads=0),  # a value ModelConfig refuses
+], ids=["unknown-key", "no-class-names", "not-utf8", "bad-json", "not-object",
+        "float-dim", "float-ratio", "float-heads", "zero-heads"])
 def test_checkpoint_bad_config_is_format_error(tmp_path, edit):
     path = tmp_path / "ckpt.bin"
     mm.save_checkpoint(_model(), path)
@@ -364,3 +376,36 @@ def test_checkpoint_duplicate_array_rejected(tmp_path):
     path.write_bytes(raw.replace(b, a))
     with pytest.raises(FormatError, match="twice"):
         mm.load_checkpoint(path)
+
+
+def test_default_model_array_names_are_pinned():
+    """The names of ``DualEncoder(ModelConfig())``'s arrays, in order, are
+    part of the checkpoint bytes; each Tensor reachable from the model is
+    named exactly once, so a new Tensor attribute cannot enter or miss
+    checkpoints unnoticed."""
+    model = tl.DualEncoder(mm.ModelConfig())
+    named = model.named_parameters()
+    names = [n for n, _ in named]
+    assert len(names) == 172 and names[0] == "vision.patch_proj.w" and names[-1] == "text.proj"
+    assert hashlib.sha256("\n".join(names).encode()).hexdigest() == (
+        "9d5d2bc8e95afc9a6400609f69930cce8c137e4c15c52c7201b1e5269f7aafeb"
+    )
+
+    reachable, seen = [], set()
+
+    def walk(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, ad.Tensor):
+            reachable.append(obj)
+        elif isinstance(obj, (list, tuple, dict)):
+            for item in obj.values() if isinstance(obj, dict) else obj:
+                walk(item)
+        elif hasattr(obj, "__dict__"):
+            for value in vars(obj).values():
+                walk(value)
+
+    walk(model)
+    assert len({id(p) for _, p in named}) == len(named)
+    assert {id(p) for _, p in named} == {id(t) for t in reachable}

@@ -523,7 +523,8 @@ def test_config_validation():
     lambda: tl.TTAConfig(seed="1"),
     lambda: tl.TTAConfig(align_layers=(1, 2.0)),
     lambda: generate_views(np.zeros((1, 16, 16)), 8, 1.5),
-], ids=["n_views", "n_steps", "seed", "seed-str", "align_layers", "view-seed"])
+    lambda: tl.ModelConfig(n_heads=2.0),
+], ids=["n_views", "n_steps", "seed", "seed-str", "align_layers", "view-seed", "model-field"])
 def test_integer_fields_reject_non_integers(build):
     """A float that would truncate, or a string, never stands in for an int;
     a Philox seed of 1.5 would otherwise draw the views of seed 1."""
