@@ -38,7 +38,6 @@ class ViewBatch:
     """All views of one image; views[0] is the unmodified input."""
 
     views: np.ndarray  # (n_views, C, H, W) float64
-    seed: int
     params_log: list[ViewParams] = field(default_factory=list)
 
     @property
@@ -104,4 +103,4 @@ def generate_views(
     for i in range(1, n_views):
         views[i], params = _sample_view(image, seed, i, min_scale)
         log.append(params)
-    return ViewBatch(views=views, seed=int(seed), params_log=log)
+    return ViewBatch(views=views, params_log=log)

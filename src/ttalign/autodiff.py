@@ -13,7 +13,6 @@ so the frozen backbone never accumulates gradients by construction.
 from __future__ import annotations
 
 import ctypes
-import itertools
 import math
 import threading
 
@@ -40,7 +39,6 @@ else:
     _mallopt(-3, 32 * 1024 * 1024)  # M_MMAP_THRESHOLD
     _mallopt(-1, -1)  # M_TRIM_THRESHOLD: never trim
 
-_uid = itertools.count()
 _state = threading.local()
 
 def _grad_enabled() -> bool:
@@ -63,13 +61,11 @@ class no_grad:
 class Tensor:
     """A dense float64 array plus optional participation in the grad tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_uid", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._uid = next(_uid)
         self._parents = ()
         self._vjp = None
 
@@ -138,8 +134,6 @@ def _node(data: np.ndarray, parents, vjp) -> Tensor:
     """Build an op-output tensor, attaching the tape record only if needed."""
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    out._uid = next(_uid)
     if _grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -546,19 +540,19 @@ def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
 
 def _toposort(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if node._uid in seen:
+        if node in seen:
             continue
-        seen.add(node._uid)
+        seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and p._uid not in seen:
+            if p.requires_grad and p not in seen:
                 stack.append((p, False))
     return order
 
@@ -567,9 +561,9 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Reverse-mode sweep from a scalar loss.
 
     Returns a mapping from each reachable gradient-participating leaf to
-    its gradient array, and accumulates the same values into ``leaf.grad``.
-    Accumulation order is fixed by the graph structure, so repeated runs
-    over an identically built graph are bit-identical.
+    its gradient array, and writes nothing to any tensor. Accumulation order
+    is fixed by the graph structure, so repeated runs over an identically
+    built graph are bit-identical.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -577,25 +571,24 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
         return {}
 
     order = _toposort(loss)
-    grads: dict[int, np.ndarray] = {loss._uid: np.ones_like(loss.data)}
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     result: dict[Tensor, np.ndarray] = {}
 
     for node in reversed(order):
-        g = grads.pop(node._uid, None)
+        g = grads.pop(node, None)
         if g is None:
             continue
         if node._vjp is None:
             result[node] = g
-            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         parent_grads = node._vjp(g)
         for p, pg in zip(node._parents, parent_grads):
             if pg is None or not p.requires_grad:
                 continue
-            if p._uid in grads:
-                grads[p._uid] = grads[p._uid] + pg
+            if p in grads:
+                grads[p] = grads[p] + pg
             else:
-                grads[p._uid] = pg
+                grads[p] = pg
     return result
 
 

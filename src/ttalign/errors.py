@@ -33,8 +33,11 @@ class FormatError(TTAlignError):
 
 
 def check_int(name: str, value) -> int:
-    """``value`` as an int; a float, a string or None raises ConfigurationError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigurationError(f"{name} must be an int, got {value!r}") from None
+    """``value`` as an int; a bool, a float, a string or None raises
+    ConfigurationError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigurationError(f"{name} must be an int, got {value!r}")

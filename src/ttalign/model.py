@@ -177,7 +177,6 @@ class PromptState:
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
-        self.config = config
         rng = philox(seed, 0x9E3779B9)
         t, dt, dv = config.n_prompt_tokens, config.embed_dim_t, config.embed_dim_v
         self.text_prompts = [
@@ -203,7 +202,6 @@ class PromptState:
     def reset(self) -> None:
         for p, snap in zip(self.parameters(), self._snapshot):
             p.data = snap.copy()
-            p.grad = None
 
 
 def couple(text_prompt: Tensor, coupling: Tensor) -> Tensor:
@@ -338,15 +336,10 @@ class DualEncoder:
 
     # -- vision branch --------------------------------------------------------
 
-    def patch_embed(self, image: np.ndarray) -> Tensor:
-        """Project non-overlapping patches and add positional embeddings.
-
-        Accepts (C, H, W) or a batch (B, C, H, W); returns (M, d) or (B, M, d).
-        """
-        single = np.ndim(image) == 3
-        imgs = np.asarray(image, dtype=np.float64)
-        if single:
-            imgs = imgs[None]
+    def patch_embed(self, images: np.ndarray) -> Tensor:
+        """Project the non-overlapping patches of a batch (B, C, H, W) and add
+        positional embeddings; returns (B, M, d)."""
+        imgs = np.asarray(images, dtype=np.float64)
         b, c, h, w = imgs.shape
         p = self.config.patch_size
         if h % p or w % p:
@@ -357,8 +350,7 @@ class DualEncoder:
             .transpose(0, 2, 4, 1, 3, 5)
             .reshape(b, gh * gw, c * p * p)
         )
-        tokens = self.vision.patch_proj(Tensor(patches)) + self.vision.pos[1:]
-        return tokens[0] if single else tokens
+        return self.vision.patch_proj(Tensor(patches)) + self.vision.pos[1:]
 
     def embed_image(self, images: np.ndarray, prompts: PromptState | None = None) -> Tensor:
         """Token matrix entering the first block for a batch (B, C, H, W):
@@ -539,9 +531,7 @@ def pretrain_backbone(
             onehot = np.zeros((len(idx), c))
             onehot[np.arange(len(idx)), labels[idx]] = 1.0
             loss = -ad.tsum(Tensor(onehot) * ad.log(probs)) / float(len(idx))
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step()
+            opt.step(ad.backward(loss))
             total += loss.item() * len(idx)
         history.append(total / n)
 

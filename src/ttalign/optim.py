@@ -24,18 +24,16 @@ class AdamW:
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
-    def step(self) -> None:
+    def step(self, grads: dict[Tensor, np.ndarray]) -> None:
+        """Apply ``grads`` (as ``backward`` returns them); a param without an
+        entry keeps its value and moments."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
+            g = grads.get(p)
+            if g is None:
                 continue
-            g = p.grad
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2

@@ -285,9 +285,7 @@ def adapt_and_predict(
                 l_align = align_loss(tstats, source_stats, config.align_layers, config.align_loss)
             l_final = combined_loss(l_ent, l_align, config.beta)
 
-            optimizer.zero_grad()
-            ad.backward(l_final)
-            optimizer.step()
+            optimizer.step(ad.backward(l_final))
 
             result.entropy_losses.append(l_ent.item())
             result.align_losses.append(l_align.item() if l_align is not None else 0.0)
@@ -321,6 +319,7 @@ GRADCHECK_CONFIG = ModelConfig(
     prompt_depth=2,
     class_names=("ripple", "checker", "grid"),
 )
+GRADCHECK_VIEWS, GRADCHECK_BETA = 4, 100.0
 
 
 def suite_losses(
@@ -329,7 +328,6 @@ def suite_losses(
     views: np.ndarray,
     kept: np.ndarray,
     src: SourceStats,
-    beta: float,
 ) -> dict[str, Tensor]:
     """Every loss ``gradient_suite`` checks, over all vision layers: scalars,
     or one per set, (S,), for prompts with S stacked sets."""
@@ -346,18 +344,11 @@ def suite_losses(
         "align_kl": align_loss(tstats, src, layers, "kl"),
         "align_cmd5": align_loss(tstats, src, layers, "cmd-5"),
     }
-    out["final"] = combined_loss(l_ent, out["align_l1"], beta)
+    out["final"] = combined_loss(l_ent, out["align_l1"], GRADCHECK_BETA)
     return out
 
 
-def gradient_suite(
-    n_episodes: int = 20,
-    seed: int = 0,
-    config: ModelConfig | None = None,
-    n_views: int = 4,
-    beta: float = 100.0,
-    step: float = 1e-5,
-) -> dict[str, float]:
+def gradient_suite(n_episodes: int = 20, seed: int = 0, step: float = 1e-5) -> dict[str, float]:
     """Finite-difference check of every loss the engine optimizes.
 
     Builds a small random frozen model, then for each episode compares the
@@ -375,7 +366,7 @@ def gradient_suite(
         raise ConfigurationError(f"n_episodes must be >= 1, got {n_episodes}")
     if not (math.isfinite(step) and step > 0):
         raise ConfigurationError(f"step must be finite and > 0, got {step}")
-    cfg = config or GRADCHECK_CONFIG
+    cfg = GRADCHECK_CONFIG
     mdl = DualEncoder(cfg, seed=seed)
     mdl.freeze()
     rng = philox(seed, 3)
@@ -398,7 +389,7 @@ def gradient_suite(
         for p in prompts.parameters():
             p.data = rng.normal(0.0, 0.2, p.data.shape)
         image = rng.normal(0.0, 1.0, (cfg.channels, cfg.image_size, cfg.image_size))
-        views = generate_views(image, n_views, int(rng.integers(0, 2**31))).views
+        views = generate_views(image, GRADCHECK_VIEWS, int(rng.integers(0, 2**31))).views
         params = prompts.parameters()
 
         # Fix the kept set at the base point and reject borderline rankings or
@@ -408,7 +399,7 @@ def gradient_suite(
             text_feats = mdl.encode_text(prompts=prompts)
             probs = classify(feats, text_feats, mdl.temperature)
             ent = np.sort(shannon_entropy(probs.data))
-            keep = kept_count(n_views, 0.25)
+            keep = kept_count(GRADCHECK_VIEWS, 0.25)
             if len(ent) > keep and ent[keep] - ent[keep - 1] < 1e-6:
                 continue
             kept = confidence_filter(probs.data, 0.25)
@@ -420,7 +411,7 @@ def gradient_suite(
             if min(margins) < 1e-6:
                 continue
 
-        losses = partial(suite_losses, mdl, prompts, views, kept, src, beta)
+        losses = partial(suite_losses, mdl, prompts, views, kept, src)
 
         # Gradient entries several orders below a loss's own scale sit inside
         # the float64 central-difference noise envelope (rounding
@@ -437,7 +428,7 @@ def gradient_suite(
         g_ent = ad.backward(base["entropy"])
         g_l1 = ad.backward(base["align_l1"])
         for p in params:
-            lin = g_ent.get(p, 0.0) + beta * g_l1.get(p, 0.0)
+            lin = g_ent.get(p, 0.0) + GRADCHECK_BETA * g_l1.get(p, 0.0)
             if np.max(np.abs(g_final[p] - lin)) > 1e-9 * max(1.0, np.max(np.abs(lin))):
                 raise AssertionError("combined loss gradient is not the linear combination")
 

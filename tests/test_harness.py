@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -820,6 +821,21 @@ def test_cli_negative_meta_dimension_exits_2(cli_workspace, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: meta.txt needs n_samples >= 0") and err.count("\n") == 1, err
+
+
+def test_cli_bool_checkpoint_config_exits_2(cli_workspace, tmp_path, capsys):
+    ws = cli_workspace
+    raw = ws["ckpt"].read_bytes()
+    (cfg_len,) = struct.unpack_from("<I", raw, 12)
+    cfg = json.dumps({**json.loads(raw[16 : 16 + cfg_len]), "prompt_depth": True}).encode()
+    ckpt = tmp_path / "checkpoint.bin"
+    ckpt.write_bytes(raw[:12] + struct.pack("<I", len(cfg)) + cfg + raw[16 + cfg_len :])
+    rc = cli_main(["--config", str(ws["cfg"]), "--out", str(tmp_path / "e"),
+                   "eval", "--ckpt", str(ckpt), "--data", str(ws["data"] / "test"),
+                   "--stats", str(ws["stats"]), "--limit", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "prompt_depth" in err and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("command", ["adapt", "eval"])

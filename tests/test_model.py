@@ -29,27 +29,27 @@ def _image(seed=0):
 
 def test_patch_embed_token_count():
     m = _model()
-    tokens = m.patch_embed(np.zeros((1, 16, 16)))
-    assert tokens.shape == (4, CFG.embed_dim_v)  # (16/8)^2 patches
+    tokens = m.patch_embed(np.zeros((1, 16, 16))[None])
+    assert tokens.shape == (1, 4, CFG.embed_dim_v)  # (16/8)^2 patches
 
 
 def test_patch_embed_zero_image_is_pos_plus_bias():
     m = _model()
-    tokens = m.patch_embed(np.zeros((1, 16, 16)))
+    tokens = m.patch_embed(np.zeros((1, 16, 16))[None])
     expect = m.vision.patch_proj.b.data + m.vision.pos.data[1:]
-    npt.assert_allclose(tokens.data, expect, atol=1e-15)
+    npt.assert_allclose(tokens.data[0], expect, atol=1e-15)
 
 
 def test_patch_embed_deterministic():
     m1, m2 = _model(3), _model(3)
-    img = _image(1)
+    img = _image(1)[None]
     assert np.array_equal(m1.patch_embed(img).data, m2.patch_embed(img).data)
 
 
 def test_patch_embed_rejects_indivisible_dims():
     m = _model()
     with pytest.raises(ConfigurationError):
-        m.patch_embed(np.zeros((1, 15, 16)))
+        m.patch_embed(np.zeros((1, 15, 16))[None])
 
 
 def test_config_rejects_indivisible_image():
@@ -356,8 +356,9 @@ def _set_config(**fields):
     _set_config(mlp_ratio=2.5),
     _set_config(n_heads=2.0),  # would load and fail only at the first forward
     _set_config(n_heads=0),  # a value ModelConfig refuses
+    _set_config(prompt_depth=True),  # a bool is not an int
 ], ids=["unknown-key", "no-class-names", "not-utf8", "bad-json", "not-object",
-        "float-dim", "float-ratio", "float-heads", "zero-heads"])
+        "float-dim", "float-ratio", "float-heads", "zero-heads", "bool-depth"])
 def test_checkpoint_bad_config_is_format_error(tmp_path, edit):
     path = tmp_path / "ckpt.bin"
     mm.save_checkpoint(_model(), path)

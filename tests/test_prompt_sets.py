@@ -175,7 +175,7 @@ def test_grad_check_many_equals_per_coordinate_loop(cfg):
     kept = tta.confidence_filter(probs.data, 0.25)
 
     def losses():
-        return tta.suite_losses(model, prompts, views, kept, src, 100.0)
+        return tta.suite_losses(model, prompts, views, kept, src)
 
     floors = {name: max(1e-8, 2e-3 * max(1.0, abs(v.item()))) for name, v in losses().items()}
     before = [p.data.copy() for p in params]

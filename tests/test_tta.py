@@ -246,32 +246,29 @@ def test_combined_gradient_is_sum_of_components():
 
 def test_optimizers_ignore_zero_gradients():
     p = ad.Tensor(np.array([3.0]), requires_grad=True)
-    p.grad = np.zeros(1)
     before = p.data.copy()
     opt = AdamW([p], 0.1)
-    opt.step()
+    opt.step({p: np.zeros(1)})
     npt.assert_array_equal(p.data, before)
-    p.grad = None
-    opt.step()
+    opt.step({})  # no entry for p
     npt.assert_array_equal(p.data, before)
 
 
 def test_adamw_first_step_is_sign_like():
     rng = np.random.default_rng(7)
     p = ad.Tensor(rng.normal(size=16), requires_grad=True)
-    p.grad = rng.normal(size=16) * 10.0 ** rng.uniform(-3, 3, size=16)
+    g = rng.normal(size=16) * 10.0 ** rng.uniform(-3, 3, size=16)
     before = p.data.copy()
     lr = 1e-3
-    AdamW([p], lr=lr).step()
+    AdamW([p], lr=lr).step({p: g})
     delta = np.abs(p.data - before)
     assert np.all(delta >= 0.9 * lr) and np.all(delta <= lr)
 
 
 def test_adamw_decoupled_weight_decay():
     p = ad.Tensor(np.array([2.0]), requires_grad=True)
-    p.grad = np.array([0.0])
     # zero gradient: only the decay term moves the weight
-    AdamW([p], lr=0.1, weight_decay=0.5).step()
+    AdamW([p], lr=0.1, weight_decay=0.5).step({p: np.array([0.0])})
     npt.assert_allclose(p.data, [2.0 - 0.1 * 0.5 * 2.0], atol=1e-15)
 
 
@@ -323,6 +320,21 @@ def test_episodic_invariance_bit_exact(tiny_model, tiny_stats, tiny_data):
     fresh = tl.PromptState(tiny_model.config, seed=0)
     alone = tl.adapt_and_predict(img_b, tiny_model, fresh, tiny_stats, config, view_seed=2)
     assert _ep_key(after_a) == _ep_key(alone)
+
+
+def test_freeze_coupling_leaves_coupling_maps_unchanged(tiny_model, tiny_stats, tiny_data):
+    # backward still returns the couplers' gradients; the step must skip them
+    _, _, test = tiny_data
+    config = tl.TTAConfig(beta=100.0, n_views=8, n_steps=2, update_coupling=False,
+                          learning_rate=5e-3, seed=0)
+    prompts = tl.PromptState(tiny_model.config, seed=0)
+    initial = tl.PromptState(tiny_model.config, seed=0)
+    tl.adapt_and_predict(test.images[0].astype(np.float64), tiny_model, prompts,
+                         tiny_stats, config, view_seed=11)
+    for c, c0 in zip(prompts.couplers, initial.couplers, strict=True):
+        assert c.data.tobytes() == c0.data.tobytes()
+    for t, t0 in zip(prompts.text_prompts, initial.text_prompts, strict=True):
+        assert not np.array_equal(t.data, t0.data)
 
 
 def test_stats_hash_mismatch_rejected(tiny_model, tiny_stats, tiny_data):
@@ -390,9 +402,9 @@ def test_sgd_small_step_descends(tiny_model, tiny_stats, tiny_data):
 
         params = prompts.parameters()
         pre = loss()
-        ad.backward(pre)
+        grads = ad.backward(pre)
         for p in params:
-            p.data -= 1e-6 * p.grad
+            p.data -= 1e-6 * grads[p]
         with ad.no_grad():
             post = loss()
         descents += post.item() <= pre.item()
@@ -446,9 +458,17 @@ def _full_tape_step(model, prompts, views, stats, config):
 @pytest.mark.parametrize("update_coupling", [True, False])
 @pytest.mark.parametrize("align_layers", [(1,), (1, 2, 3), (3,)])
 @pytest.mark.parametrize("beta", [0.0, 100.0])
-def test_split_step_matches_full_tape(tiny_model, tiny_stats, tiny_data,
+def test_split_step_matches_full_tape(tiny_model, tiny_stats, tiny_data, monkeypatch,
                                       beta, align_layers, update_coupling, filter_ratio):
     _, _, test = tiny_data
+    steps = []
+    step = AdamW.step
+
+    def recording_step(self, grads):
+        steps.append(grads)
+        step(self, grads)
+
+    monkeypatch.setattr(AdamW, "step", recording_step)
     assert tiny_model.config.n_vision_layers == 3
     config = tl.TTAConfig(beta=beta, n_views=8, filter_ratio=filter_ratio,
                           align_layers=align_layers, update_coupling=update_coupling,
@@ -463,16 +483,18 @@ def test_split_step_matches_full_tape(tiny_model, tiny_stats, tiny_data,
         assert len(kept) == (8 if filter_ratio == 1.0 else 1)
 
         prompts = tl.PromptState(tiny_model.config, seed=0)
+        steps.clear()
         ep = tl.adapt_and_predict(img, tiny_model, prompts, tiny_stats, config,
                                   view_seed=70 + i)
+        (step_grads,) = steps
         assert ep.kept_views == [kept]
         assert abs(ep.entropy_losses[0] - l_ent) <= 1e-12 * max(1.0, abs(l_ent))
         assert abs(ep.align_losses[0] - l_align) <= 1e-12 * max(1.0, abs(l_align))
-        # backward leaves each prompt's step gradient in .grad, frozen couplers included
+        # the step receives each prompt's gradient, frozen couplers included
         for ref, p in zip(ref_prompts.parameters(), prompts.parameters()):
             scale = np.max(np.abs(grads[ref]))
             assert scale > 0.0
-            assert np.max(np.abs(p.grad - grads[ref])) <= 1e-10 * scale
+            assert np.max(np.abs(step_grads[p] - grads[ref])) <= 1e-10 * scale
 
 
 # -- config validation ----------------------------------------------------------------------
@@ -524,10 +546,13 @@ def test_config_validation():
     lambda: tl.TTAConfig(align_layers=(1, 2.0)),
     lambda: generate_views(np.zeros((1, 16, 16)), 8, 1.5),
     lambda: tl.ModelConfig(n_heads=2.0),
-], ids=["n_views", "n_steps", "seed", "seed-str", "align_layers", "view-seed", "model-field"])
+    lambda: tl.TTAConfig(seed=True),
+    lambda: tl.ModelConfig(prompt_depth=True),
+], ids=["n_views", "n_steps", "seed", "seed-str", "align_layers", "view-seed", "model-field",
+        "bool-seed", "bool-depth"])
 def test_integer_fields_reject_non_integers(build):
-    """A float that would truncate, or a string, never stands in for an int;
-    a Philox seed of 1.5 would otherwise draw the views of seed 1."""
+    """A float that would truncate, a string or a bool never stands in for an
+    int; a Philox seed of 1.5 (or True) would otherwise draw the views of seed 1."""
     with pytest.raises(ConfigurationError, match="must be an int"):
         build()
 
