@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .seeds import philox
+from .seeds import check_seed, philox
 
 DEFAULT_MIN_SCALE = 0.5
 _LOG_ASPECT = (np.log(3.0 / 4.0), np.log(4.0 / 3.0))
@@ -91,7 +91,9 @@ def generate_views(
     seed: int,
     min_scale: float = DEFAULT_MIN_SCALE,
 ) -> ViewBatch:
-    """Build ``n_views`` views of ``image`` (C, H, W); view 0 is the original."""
+    """Build ``n_views`` views of ``image`` (C, H, W); view 0 is the original.
+    The seed is checked even when no view is drawn from it."""
+    seed = check_seed(seed)
     if n_views < 1:
         raise ContractError(f"n_views must be >= 1, got {n_views}")
     image = np.asarray(image, dtype=np.float64)

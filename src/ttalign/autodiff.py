@@ -2,9 +2,10 @@
 
 The op set is exactly what the prompted dual-encoder model and its losses
 need: elementwise arithmetic with numpy broadcasting, matmul over stacked
-matrices, shape/indexing ops, reductions, and softmax / layernorm / gelu /
-multi-head attention primitives. A tensor produced by an op keeps references to its parents and
-a vector-Jacobian closure; ``backward`` walks that graph in reverse
+matrices, shape/indexing ops, reductions, softmax / layernorm / gelu /
+multi-head attention primitives, and the pre-LN transformer block that chains
+them. A tensor produced by an op keeps references to its parents and a
+vector-Jacobian closure; ``backward`` walks that graph in reverse
 topological order. Gradients are only tracked through tensors flagged
 ``requires_grad`` (the prompt leaves and coupling weights at test time),
 so the frozen backbone never accumulates gradients by construction.
@@ -20,15 +21,15 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 
-# An adaptation episode tapes about 70 MiB of arrays and frees them when it
-# ends. By default glibc then returns the top of its heap, and every block it
-# served by mmap, to the kernel, so the next episode faults the same pages in
-# again (9,000-22,000 minor page faults per episode on a 2-vCPU x86-64 guest
-# with glibc 2.36). Serving blocks up to 32 MiB (glibc's own ceiling for its
-# dynamic mmap threshold) from the heap and never trimming it keeps those
-# pages for the next episode. Both values must be set: setting either one
-# alone turns off glibc's dynamic threshold, which faults more than the
-# default. Without glibc's mallopt, nothing changes.
+# An adaptation episode allocates arrays up to a peak of about 46 MiB and
+# frees them when it ends. By default glibc then returns the top of its heap,
+# and every block it served by mmap, to the kernel, so the next episode faults
+# the same pages in again (9,000-22,000 minor page faults per episode on a
+# 2-vCPU x86-64 guest with glibc 2.36). Serving blocks up to 32 MiB (glibc's
+# own ceiling for its dynamic mmap threshold) from the heap and never trimming
+# it keeps those pages for the next episode. Both values must be set: setting
+# either one alone turns off glibc's dynamic threshold, which faults more than
+# the default. Without glibc's mallopt, nothing changes.
 try:
     _mallopt = ctypes.CDLL(None).mallopt
 except (OSError, AttributeError):
@@ -130,11 +131,21 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
+def _tapes(parents) -> bool:
+    """Whether an op on ``parents`` is recorded on the tape."""
+    return _grad_enabled() and any(p.requires_grad for p in parents)
+
+
+def _grad_shape(t: Tensor | None):
+    """``t``'s shape if a vjp must form its gradient, else None."""
+    return t.shape if t is not None and t.requires_grad else None
+
+
 def _node(data: np.ndarray, parents, vjp) -> Tensor:
     """Build an op-output tensor, attaching the tape record only if needed."""
     out = Tensor.__new__(Tensor)
     out.data = data
-    if _grad_enabled() and any(p.requires_grad for p in parents):
+    if _tapes(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
@@ -247,30 +258,41 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return linear(a, b)
 
 
+def _linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """``x @ w`` over stacked matrices, plus ``b`` added in place if given
+    (the bits of a separate add)."""
+    out = np.matmul(x, w)
+    if b is not None:
+        out += b
+    return out
+
+
+def _linear_vjp(g, x, w, x_shape, w_shape, b_shape):
+    """The x, w and b gradients of ``x @ w + b`` at output gradient ``g``.
+    ``x`` is read only for the weight gradient and ``w`` only for the input
+    gradient."""
+    gx = gw = gb = None
+    if x_shape is not None:
+        gx = _unbroadcast(np.matmul(g, np.swapaxes(w, -1, -2)), x_shape)
+    if w_shape is not None:
+        gw = _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), w_shape)
+    if b_shape is not None:
+        gb = _unbroadcast(g, b_shape)
+    return gx, gw, gb
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w`` over stacked matrices, plus ``b`` if given, as one tape node.
-
-    The bias is added in place to the product. That gives the same bits as a
-    separate ``add`` node, and each gradient is computed as that node and the
-    product would compute it.
-    """
+    Each gradient is computed as a separate add node and the product would
+    compute it."""
     if x.ndim < 2 or w.ndim < 2:
         raise ShapeError(f"matmul needs matrices, got {x.shape} @ {w.shape}")
     if x.shape[-1] != w.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {x.shape} @ {w.shape}")
-    out = np.matmul(x.data, w.data)
-    if b is not None:
-        out += b.data
+    out = _linear_fwd(x.data, w.data, None if b is None else b.data)
 
     def vjp(g):
-        gx = gw = gb = None
-        if x.requires_grad:
-            gx = _unbroadcast(np.matmul(g, np.swapaxes(w.data, -1, -2)), x.shape)
-        if w.requires_grad:
-            gw = _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape)
-        if b is not None and b.requires_grad:
-            gb = _unbroadcast(g, b.shape)
-        return gx, gw, gb
+        return _linear_vjp(g, x.data, w.data, _grad_shape(x), _grad_shape(w), _grad_shape(b))
 
     return _node(out, (x, w) if b is None else (x, w, b), vjp)
 
@@ -373,6 +395,12 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 # -- neural-net primitives -------------------------------------------------
+#
+# Each primitive whose vjp is its own arithmetic is an array-level pair: a
+# forward, which returns what its vjp reads only when ``keep`` is true (the
+# op is taped), and a vjp. A vjp forms the gradient of an input only when it
+# is passed that input's shape (not None). ``layernorm``, ``linear``,
+# ``attention`` and ``gelu`` each wrap one pair, and ``block`` chains them.
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -388,44 +416,102 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node(out, (a,), vjp)
 
 
-def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
+def _layernorm_fwd(a, gamma, beta, eps, keep):
+    """LayerNorm over the last axis; ``(xhat, inv)`` is what the vjp reads.
     Means are ``np.add.reduce`` divided in place, as ``np.mean`` computes them."""
     if a.shape[-1] < 2:
         raise ContractError(f"layernorm needs last-axis length >= 2, got {a.shape}")
     if eps <= 0.0:
         raise ContractError("layernorm eps must be positive")
     n = a.shape[-1]
-    mu = np.add.reduce(a.data, axis=-1, keepdims=True)
+    mu = np.add.reduce(a, axis=-1, keepdims=True)
     mu /= n
-    xhat = a.data - mu
+    xhat = a - mu
     out = np.multiply(xhat, xhat)  # squared deviations, then the output
     var = np.add.reduce(out, axis=-1, keepdims=True)
     var /= n
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    np.multiply(xhat, gamma.data, out=out)
-    out += beta.data
+    np.multiply(xhat, gamma, out=out)
+    out += beta
+    return out, ((xhat, inv) if keep else None)
+
+
+def _layernorm_vjp(g, saved, gamma, a_shape, gamma_shape, beta_shape):
+    xhat, inv = saved
+    n = xhat.shape[-1]
+    ga = gg = gb = None
+    if a_shape is not None:
+        ga = g * gamma  # dxhat, then the input gradient
+        m1 = np.add.reduce(ga, axis=-1, keepdims=True)
+        m1 /= n
+        tmp = ga * xhat
+        m2 = np.add.reduce(tmp, axis=-1, keepdims=True)
+        m2 /= n
+        ga -= m1
+        ga -= np.multiply(xhat, m2, out=tmp)
+        ga *= inv
+    if gamma_shape is not None:
+        gg = _unbroadcast(g * xhat, gamma_shape)
+    if beta_shape is not None:
+        gb = _unbroadcast(g, beta_shape)
+    return ga, gg, gb
+
+
+def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    parents = (a, gamma, beta)
+    out, saved = _layernorm_fwd(a.data, gamma.data, beta.data, eps, _tapes(parents))
 
     def vjp(g):
-        ga = gg = gb = None
-        if a.requires_grad:
-            ga = g * gamma.data  # dxhat, then the input gradient
-            m1 = np.add.reduce(ga, axis=-1, keepdims=True)
-            m1 /= n
-            tmp = ga * xhat
-            m2 = np.add.reduce(tmp, axis=-1, keepdims=True)
-            m2 /= n
-            ga -= m1
-            ga -= np.multiply(xhat, m2, out=tmp)
-            ga *= inv
-        if gamma.requires_grad:
-            gg = _unbroadcast(g * xhat, gamma.shape)
-        if beta.requires_grad:
-            gb = _unbroadcast(g, beta.shape)
-        return ga, gg, gb
+        return _layernorm_vjp(g, saved, gamma.data, *map(_grad_shape, parents))
 
-    return _node(out, (a, gamma, beta), vjp)
+    return _node(out, parents, vjp)
+
+
+def _attention_fwd(q, k, v, n_heads, keep):
+    """Multi-head attention from (B, T, d) q, k and v to the context; the vjp
+    reads the contiguous head copies of q (scaled), k^T and v and the
+    attention probabilities."""
+    if not q.shape == k.shape == v.shape or q.ndim != 3 or q.shape[-1] % n_heads:
+        raise ShapeError(f"attention needs equal (B, T, d) q, k, v with d divisible by "
+                         f"{n_heads} heads, got {q.shape}, {k.shape}, {v.shape}")
+    b, t, d = q.shape
+    dh = d // n_heads
+
+    def heads(x, axes):  # contiguous per-head copy of a (B, T, d) projection
+        return np.ascontiguousarray(x.reshape(b, t, n_heads, dh).transpose(axes))
+
+    qh = heads(q, (0, 2, 1, 3))
+    qh *= 1.0 / np.sqrt(dh)
+    kt = heads(k, (0, 2, 3, 1))  # k^T, (B, h, dh, T)
+    vh = heads(v, (0, 2, 1, 3))
+    att = np.matmul(qh, kt)
+    att -= np.max(att, axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= np.sum(att, axis=-1, keepdims=True)
+    out = np.ascontiguousarray(np.matmul(att, vh).transpose(0, 2, 1, 3)).reshape(b, t, d)
+    return out, ((qh, kt, vh, att) if keep else None)
+
+
+def _attention_vjp(g, saved, q_shape, k_shape, v_shape):
+    qh, kt, vh, att = saved
+    b, n_heads, t, dh = qh.shape
+    d = n_heads * dh
+    go = g.reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3)
+    gq = gk = gv = None
+    if v_shape is not None:
+        gv = np.matmul(np.swapaxes(att, -1, -2), go).transpose(0, 2, 1, 3).reshape(b, t, d)
+    if q_shape is not None or k_shape is not None:
+        gs = np.matmul(go, np.swapaxes(vh, -1, -2))  # d att, then d scores
+        gs -= np.sum(gs * att, axis=-1, keepdims=True)
+        gs *= att
+        if q_shape is not None:
+            gq = np.matmul(gs, np.swapaxes(kt, -1, -2)) * (1.0 / np.sqrt(dh))
+            gq = gq.transpose(0, 2, 1, 3).reshape(b, t, d)
+        if k_shape is not None:
+            gk = np.matmul(np.swapaxes(qh, -1, -2), gs).transpose(0, 3, 1, 2).reshape(b, t, d)
+    return gq, gk, gv
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
@@ -433,67 +519,40 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     tape node. It runs the composed ops (contiguous head copies, q scaled by
     1/sqrt(d / n_heads), softmax of q @ k^T, ``att @ v`` merged back) on the
     same operand layouts, so forward and gradients keep their bits."""
-    if not q.shape == k.shape == v.shape or q.ndim != 3 or q.shape[-1] % n_heads:
-        raise ShapeError(f"attention needs equal (B, T, d) q, k, v with d divisible by "
-                         f"{n_heads} heads, got {q.shape}, {k.shape}, {v.shape}")
-    b, t, d = q.shape
-    dh = d // n_heads
-    scale = 1.0 / np.sqrt(dh)
-
-    def heads(x, axes):  # contiguous per-head copy of a (B, T, d) projection
-        return np.ascontiguousarray(x.reshape(b, t, n_heads, dh).transpose(axes))
-
-    qh = heads(q.data, (0, 2, 1, 3))
-    qh *= scale
-    kt = heads(k.data, (0, 2, 3, 1))  # k^T, (B, h, dh, T)
-    vh = heads(v.data, (0, 2, 1, 3))
-    att = np.matmul(qh, kt)
-    att -= np.max(att, axis=-1, keepdims=True)
-    np.exp(att, out=att)
-    att /= np.sum(att, axis=-1, keepdims=True)
-    out = np.ascontiguousarray(np.matmul(att, vh).transpose(0, 2, 1, 3)).reshape(b, t, d)
+    parents = (q, k, v)
+    out, saved = _attention_fwd(q.data, k.data, v.data, n_heads, _tapes(parents))
 
     def vjp(g):
-        go = g.reshape(b, t, n_heads, dh).transpose(0, 2, 1, 3)
-        gq = gk = gv = None
-        if v.requires_grad:
-            gv = np.matmul(np.swapaxes(att, -1, -2), go).transpose(0, 2, 1, 3).reshape(b, t, d)
-        if q.requires_grad or k.requires_grad:
-            gs = np.matmul(go, np.swapaxes(vh, -1, -2))  # d att, then d scores
-            gs -= np.sum(gs * att, axis=-1, keepdims=True)
-            gs *= att
-            if q.requires_grad:
-                gq = np.matmul(gs, np.swapaxes(kt, -1, -2)) * scale
-                gq = gq.transpose(0, 2, 1, 3).reshape(b, t, d)
-            if k.requires_grad:
-                gk = np.matmul(np.swapaxes(qh, -1, -2), gs).transpose(0, 3, 1, 2).reshape(b, t, d)
-        return gq, gk, gv
+        return _attention_vjp(g, saved, *map(_grad_shape, parents))
 
-    return _node(out, (q, k, v), vjp)
+    return _node(out, parents, vjp)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
-# Elements per GELU block, so that forward and vjp temporaries stay in L2. On
-# an episode's (1,216, 256) fc1 output (2-vCPU x86-64, 2 MiB L2 per core),
-# forward plus vjp took 4.8-5.7 ms unblocked and 4.2-5.7 / 3.1-4.4 / 2.8-3.7 /
-# 2.8-3.7 / 3.2-4.1 ms at 4,096 / 8,192 / 16,384 / 32,768 / 65,536 (4 sweeps).
+# Elements per GELU block, so that the tanh and derivative temporaries stay in
+# L2. On an episode's (1,216, 256) fc1 output (2-vCPU x86-64, 2 MiB L2 per
+# core), the forward and the derivative, then computed in a separate vjp pass,
+# took 4.8-5.7 ms unblocked and 4.2-5.7 / 3.1-4.4 / 2.8-3.7 / 2.8-3.7 /
+# 3.2-4.1 ms at 4,096 / 8,192 / 16,384 / 32,768 / 65,536 (4 sweeps).
 GELU_BLOCK = 16384
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Tanh-approximation GELU.
+def _gelu_fwd(a, keep):
+    """Tanh-approximation GELU and, if ``keep``, its derivative, which is all
+    its vjp reads: the input gradient is ``g * derivative``.
 
     0.5 * x * (1 + tanh(c * (x + 0.044715 * x^3))), evaluated in that order
     (so the bits equal the plain expression's), block by block over the
-    flattened array into reused buffers.
+    flattened array, with the tanh in a reused block buffer.
     """
-    x = a.data.reshape(-1)
-    t = np.empty_like(x)
+    x = a.reshape(-1)
     out = np.empty_like(x)
-    tmp = np.empty(min(x.size, GELU_BLOCK))
+    d = np.empty_like(x) if keep else None
+    t, rest, d_inner = np.empty((3, min(x.size, GELU_BLOCK)))
     for lo in range(0, x.size, GELU_BLOCK):
-        xb, tb, ob = (v[lo : lo + GELU_BLOCK] for v in (x, t, out))
+        xb, ob = x[lo : lo + GELU_BLOCK], out[lo : lo + GELU_BLOCK]
+        tb, re = t[: xb.size], rest[: xb.size]
         np.multiply(xb, xb, out=tb)
         tb *= 0.044715
         tb *= xb
@@ -501,16 +560,10 @@ def gelu(a: Tensor) -> Tensor:
         tb *= _GELU_C
         np.tanh(tb, out=tb)
         np.multiply(xb, 0.5, out=ob)
-        ob *= np.add(tb, 1.0, out=tmp[: xb.size])
-
-    def vjp(g):
-        # 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * c * (1 + 3 * 0.044715 * x^2)
-        gf = g.reshape(-1)
-        d = np.empty_like(x)
-        d_inner, rest = np.empty((2, min(x.size, GELU_BLOCK)))
-        for lo in range(0, x.size, GELU_BLOCK):
-            xb, tb, db, gb = (v[lo : lo + GELU_BLOCK] for v in (x, t, d, gf))
-            di, re = d_inner[: xb.size], rest[: xb.size]
+        ob *= np.add(tb, 1.0, out=re)
+        if keep:
+            # 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * c * (1 + 3 * 0.044715 * x^2)
+            db, di = d[lo : lo + GELU_BLOCK], d_inner[: xb.size]
             np.multiply(xb, xb, out=di)
             di *= 3.0 * 0.044715
             di += 1.0
@@ -523,10 +576,70 @@ def gelu(a: Tensor) -> Tensor:
             np.add(tb, 1.0, out=re)
             re *= 0.5
             db += re
-            db *= gb
-        return (d.reshape(a.shape),)
+    return out.reshape(a.shape), (d.reshape(a.shape) if keep else None)
 
-    return _node(out.reshape(a.shape), (a,), vjp)
+
+def gelu(a: Tensor) -> Tensor:
+    """Tanh-approximation GELU; its tape keeps the derivative only."""
+    out, d = _gelu_fwd(a.data, _tapes((a,)))
+    return _node(out, (a,), lambda g: (g * d,))
+
+
+def block(x: Tensor, params, n_heads: int) -> Tensor:
+    """A pre-LN transformer block as one tape node: ``x1 = x + wo(attention(
+    wq(h), wk(h), wv(h)))`` with ``h = ln1(x)``, then ``x1 + fc2(gelu(fc1(
+    ln2(x1))))``. ``params`` are its 16 weights in the order ln1 gamma, beta;
+    wq, wk, wv and wo, each w then b; ln2 gamma, beta; fc1 w, b; fc2 w, b.
+
+    It chains the primitives' array-level pairs, so output and gradients keep
+    the composed ops' bits. The tape keeps what the vjp reads: each
+    LayerNorm's ``xhat`` and ``inv``, the attention's head copies and
+    probabilities, and the GELU derivative; when a weight requires grad, also
+    the inputs of the four linear layers (h, the context, ln2's output and
+    the GELU output) for the weight gradients. Untaped, it keeps nothing.
+
+    The composed ops sum the gradient of ``h`` as (q + k) + v, and hand ``x``
+    its residual gradient before its ln1 gradient. ``x`` is listed as a
+    parent twice, in that order, so the sums keep their bits when another
+    taped op also reads ``x``.
+    """
+    g1, b1, wq, bq, wk, bk, wv, bv, wo, bo, g2, b2, w1, c1, w2, c2 = params
+    parents = (x, x, *params)
+    keep = _tapes(parents)
+    h, ln1 = _layernorm_fwd(x.data, g1.data, b1.data, 1e-5, keep)
+    q, k, v = (_linear_fwd(h, w.data, b.data) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    ctx, attn = _attention_fwd(q, k, v, n_heads, keep)
+    del q, k, v
+    x1 = _linear_fwd(ctx, wo.data, bo.data)
+    x1 += x.data  # the residual add, in the product's buffer: x + o has the same bits
+    h2, ln2 = _layernorm_fwd(x1, g2.data, b2.data, 1e-5, keep)
+    u, du = _gelu_fwd(_linear_fwd(h2, w1.data, c1.data), keep)
+    y = _linear_fwd(u, w2.data, c2.data)
+    y += x1
+    inputs = (h, ctx, h2, u) if keep and any(p.requires_grad for p in params) else None
+
+    def vjp(gy):
+        # Weight gradients are formed only from kept linear inputs. The names
+        # below are local, so the closure holds ``inputs``, not the forward's
+        # arrays of those names.
+        s = [_grad_shape(p) if inputs else None for p in params]
+        h, ctx, h2, u = inputs or (None,) * 4
+        shape = gy.shape
+        gu, gw2, gc2 = _linear_vjp(gy, u, w2.data, du.shape, s[14], s[15])
+        gh2, gw1, gc1 = _linear_vjp(gu * du, h2, w1.data, shape, s[12], s[13])
+        gx1, gg2, gb2 = _layernorm_vjp(gh2, ln2, g2.data, shape, s[10], s[11])
+        gx1 = gy + gx1
+        gctx, gwo, gbo = _linear_vjp(gx1, ctx, wo.data, shape, s[8], s[9])
+        gq, gk, gv = _attention_vjp(gctx, attn, shape, shape, shape)
+        ghq, gwq, gbq = _linear_vjp(gq, h, wq.data, shape, s[2], s[3])
+        ghk, gwk, gbk = _linear_vjp(gk, h, wk.data, shape, s[4], s[5])
+        ghv, gwv, gbv = _linear_vjp(gv, h, wv.data, shape, s[6], s[7])
+        gx, gg1, gb1 = _layernorm_vjp((ghq + ghk) + ghv, ln1, g1.data,
+                                      _grad_shape(x), s[0], s[1])
+        return (gx1, gx, gg1, gb1, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo,
+                gg2, gb2, gw1, gc1, gw2, gc2)
+
+    return _node(y, parents, vjp)
 
 
 def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:

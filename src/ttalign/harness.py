@@ -9,7 +9,9 @@ Dataset directory layout (little-endian):
 Evaluation writes three files: ``records.jsonl`` (one record per sample),
 ``summary.json`` (aggregates and the config echo; fully deterministic under a
 fixed seed), and ``timing.json`` (wall-clock numbers and the BLAS kernel and
-thread count, deliberately kept out of the deterministic artifacts). The
+thread count, deliberately kept out of the deterministic artifacts). An
+ablation writes ``ablation.json`` (deterministic) and ``ablation_timing.json``
+(each value's latency per sample) next to one such report per value. The
 deterministic files are byte-identical across reruns, ``workers`` counts and
 BLAS thread counts on one BLAS kernel; another kernel may change their last
 bits.
@@ -477,11 +479,17 @@ def run_ablation(
 
 
 def write_ablation(result: dict, directory) -> None:
+    """``ablation.json`` holds the deterministic columns of each row and
+    ``ablation_timing.json`` its wall-clock latency; each value's reports go
+    to a directory of their own."""
     os.makedirs(directory, exist_ok=True)
-    table = {"axis": result["axis"], "rows": result["rows"]}
-    with open(os.path.join(directory, "ablation.json"), "w") as fh:
-        json.dump(table, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    clock = "latency_per_sample_s"
+    rows = [{k: v for k, v in row.items() if k != clock} for row in result["rows"]]
+    times = [{"value": row["value"], clock: row[clock]} for row in result["rows"]]
+    for name, table_rows in (("ablation.json", rows), ("ablation_timing.json", times)):
+        with open(os.path.join(directory, name), "w") as fh:
+            json.dump({"axis": result["axis"], "rows": table_rows}, fh, sort_keys=True, indent=2)
+            fh.write("\n")
     for row, report in zip(result["rows"], result["reports"]):
         tag = str(row["value"]).replace(" ", "").replace("/", "-")
         write_report(report, os.path.join(directory, f"{result['axis']}={tag}"))

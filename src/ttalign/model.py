@@ -143,9 +143,6 @@ class _Attention:
         self.wv = _Linear(rng, d, d)
         self.wo = _Linear(rng, d, d)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.wo(ad.attention(self.wq(x), self.wk(x), self.wv(x), self.n_heads))
-
 
 class _Block:
     """Pre-LN transformer block; output = residual stream after the MLP add."""
@@ -158,8 +155,11 @@ class _Block:
         self.fc2 = _Linear(rng, d * mlp_ratio, d)
 
     def __call__(self, x: Tensor) -> Tensor:
-        x = x + self.attn(self.ln1(x))
-        return x + self.fc2(ad.gelu(self.fc1(self.ln2(x))))
+        at = self.attn
+        params = (self.ln1.gamma, self.ln1.beta, at.wq.w, at.wq.b, at.wk.w, at.wk.b,
+                  at.wv.w, at.wv.b, at.wo.w, at.wo.b, self.ln2.gamma, self.ln2.beta,
+                  self.fc1.w, self.fc1.b, self.fc2.w, self.fc2.b)
+        return ad.block(x, params, at.n_heads)
 
 
 # -- prompts -----------------------------------------------------------------

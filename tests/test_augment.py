@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from ttalign.augment import generate_views
-from ttalign.errors import ContractError
+from ttalign.errors import ConfigurationError, ContractError
 
 
 def _image(seed=0, shape=(1, 32, 32)):
@@ -69,6 +69,15 @@ def test_constant_image_yields_constant_views():
 def test_zero_views_rejected():
     with pytest.raises(ContractError):
         generate_views(_image(), 0, seed=0)
+
+
+@pytest.mark.parametrize("n_views", [1, 2])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_rejected_for_any_view_count(n_views, seed):
+    """One view draws no random numbers; its seed is checked all the same
+    (the non-integer seeds are in test_tta's integer-field test)."""
+    with pytest.raises(ConfigurationError):
+        generate_views(_image(), n_views, seed)
 
 
 def test_view_order_independent_of_generation():

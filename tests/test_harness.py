@@ -523,6 +523,25 @@ def test_cli_ablate(cli_workspace, capsys):
     assert "axis: beta" in capsys.readouterr().out
 
 
+def test_cli_ablate_reruns_give_identical_table(cli_workspace):
+    """ablation.json holds no clock reading; the latencies go to
+    ablation_timing.json."""
+    ws = cli_workspace
+    outs = [ws["root"] / f"ablate-rerun-{i}" for i in range(2)]
+    for out in outs:
+        rc = cli_main(["--seed", "7", "--config", str(ws["cfg"]), "--out", str(out),
+                       "ablate", "--ckpt", str(ws["ckpt"]), "--data", str(ws["data"] / "test"),
+                       "--stats", str(ws["stats"]), "--axis", "n_steps", "--values", "1,2",
+                       "--limit", "4"])
+        assert rc == 0
+    first, second = ((out / "ablation.json").read_bytes() for out in outs)
+    assert first == second
+    assert b"latency" not in first
+    timing = json.loads((outs[0] / "ablation_timing.json").read_text())
+    assert [row["value"] for row in timing["rows"]] == [1, 2]
+    assert all(row["latency_per_sample_s"] > 0 for row in timing["rows"])
+
+
 def test_cli_stats_hash_mismatch_exits_2(cli_workspace, tmp_path):
     ws = cli_workspace
     # stats built for a different model

@@ -8,6 +8,7 @@ import pytest
 import ttalign as tl
 from ttalign import autodiff as ad
 from ttalign import model as mm
+from ttalign.autodiff import Tensor
 from ttalign.errors import ConfigurationError, FormatError
 from ttalign.tta import GRADCHECK_CONFIG
 
@@ -110,6 +111,142 @@ def test_prompt_gradient_flows_and_matches_fd():
     assert any(np.abs(grads[p]).max() > 1e-12 for p in prompts.text_prompts)
     err = ad.grad_check(scalar, prompts.parameters(), step=1e-5)
     assert err < 1e-4
+
+
+# -- transformer block -------------------------------------------------------------
+
+
+DEFAULT = mm.ModelConfig()
+
+
+def _random_block(cfg, trainable, seed=0):
+    """A vision-width block of ``cfg`` with random weights (LayerNorm gains
+    near 1); every weight requires grad iff ``trainable``."""
+    rng = np.random.default_rng(seed)
+    blk = mm._Block(rng, cfg.embed_dim_v, cfg.n_heads, cfg.mlp_ratio)
+    for name, p in mm._named_tensors(blk, "block"):
+        p.data = rng.normal(size=p.shape) * 0.3 + (1.0 if name.endswith("gamma") else 0.0)
+        p.requires_grad = trainable
+    return blk
+
+
+def composed_block(blk, x):
+    """The block as the tape ops it replaces, one node each: ln1, the q, k and
+    v projections, attention, wo, the residual add, ln2, fc1, GELU, fc2 and
+    the second residual add."""
+    at = blk.attn
+    h = blk.ln1(x)
+    x = x + at.wo(ad.attention(at.wq(h), at.wk(h), at.wv(h), at.n_heads))
+    return x + blk.fc2(ad.gelu(blk.fc1(blk.ln2(x))))
+
+
+def _block_tokens(cfg, rows, tokens, sets, seed=1):
+    """(sets * rows, tokens, d) block inputs: ``sets`` stacked prompt sets of
+    one batch, which differ only at the prompt positions."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(rows, tokens, cfg.embed_dim_v))
+    stacked = [base]
+    prompt = slice(1, 1 + cfg.n_prompt_tokens)
+    for _ in range(sets - 1):
+        other = base.copy()
+        other[:, prompt] = rng.normal(size=other[:, prompt].shape)
+        stacked.append(other)
+    return np.concatenate(stacked)
+
+
+def _block_bits(run, blk, xd, extra):
+    """Output, input gradient and every weight gradient of ``run(blk, x)``
+    under a random linear loss. ``extra`` adds a second taped reader of the
+    block input, whose term enters the loss after ("after") or before
+    ("before") the block's; the backward pass reaches that reader in the
+    same order relative to the block."""
+    rng = np.random.default_rng(2)
+    x = Tensor(xd, requires_grad=True)
+    out = run(blk, x)
+    terms = [ad.tsum(out * Tensor(rng.normal(size=out.shape)))]
+    if extra is not None:
+        read = ad.tsum(x * Tensor(rng.normal(size=x.shape)))
+        terms.insert(0 if extra == "before" else 1, read)
+    grads = ad.backward(terms[0] if len(terms) == 1 else terms[0] + terms[1])
+    weights = [p for _, p in mm._named_tensors(blk, "block") if p.requires_grad]
+    return [out.data, grads[x]] + [grads[p] for p in weights]
+
+
+_ROWS = ad.GELU_BLOCK // (DEFAULT.embed_dim_v * DEFAULT.mlp_ratio)  # token rows per GELU block
+
+
+# (config, rows, tokens, prompt sets): one token row; fewer rows than one
+# GELU block; exactly two blocks; two blocks and a ragged 16-row third; an
+# episode's 64 views of 19 tokens (19 blocks); the tiny config; two stacked
+# prompt sets of each config.
+@pytest.mark.parametrize("cfg, rows, tokens, sets", [
+    (DEFAULT, 1, 1, 1), (DEFAULT, 3, 19, 1), (DEFAULT, 2 * _ROWS // 16, 16, 1),
+    (DEFAULT, 2 * _ROWS // 16 + 1, 16, 1), (DEFAULT, 64, 19, 1), (CFG, 4, 7, 1),
+    (DEFAULT, 2, 19, 2), (CFG, 3, 7, 2),
+], ids=["one-row", "one-gelu-block", "two-gelu-blocks", "ragged", "episode", "tiny",
+        "default-2-sets", "tiny-2-sets"])
+@pytest.mark.parametrize("trainable", [False, True], ids=["frozen", "trainable"])
+@pytest.mark.parametrize("extra", [None, "after", "before"])
+def test_block_bit_identical_to_composition(cfg, rows, tokens, sets, trainable, extra):
+    """Forward, the input gradient and (trainable) the weight, gamma and beta
+    gradients equal the composed ops' bits."""
+    blk = _random_block(cfg, trainable)
+    xd = _block_tokens(cfg, rows, tokens, sets)
+    got = _block_bits(lambda b, x: b(x), blk, xd, extra)
+    want = _block_bits(composed_block, blk, xd, extra)
+    assert len(got) == 2 + 16 * trainable
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def _closure_arrays(fn):
+    """The arrays a closure holds, through tuples."""
+    found, stack = [], [c.cell_contents for c in fn.__closure__]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, tuple):
+            stack.extend(item)
+    return found
+
+
+@pytest.mark.parametrize("trainable", [False, True], ids=["frozen", "trainable"])
+def test_block_tape_keeps_what_its_backward_reads(trainable):
+    """One tape node per block. Frozen, it holds both LayerNorms' xhat and
+    inv, the three head copies, the attention probabilities and the GELU
+    derivative; trainable, also the four linear inputs. Untaped it holds
+    nothing, and its output keeps the taped bits."""
+    cfg, b, t = DEFAULT, 4, 19
+    blk = _random_block(cfg, trainable)
+    d, h = cfg.embed_dim_v, cfg.n_heads
+    x = Tensor(_block_tokens(cfg, b, t, 1), requires_grad=True)
+    out = blk(x)
+    assert out._parents[:2] == (x, x) and len(out._parents) == 18
+    held = _closure_arrays(out._vjp)
+    sizes = sorted(a.size for a in held)
+    want = [b * t] * 2 + [b * t * d] * 5 + [b * h * t * t] + [b * t * d * cfg.mlp_ratio]
+    if trainable:
+        want += [b * t * d] * 3 + [b * t * d * cfg.mlp_ratio]
+    assert sizes == sorted(want)
+    with ad.no_grad():
+        untaped = blk(x)
+    frozen = _random_block(cfg, False)
+    for y in (untaped, frozen(Tensor(x.data))):
+        assert y._vjp is None and y._parents == () and not y.requires_grad
+    assert untaped.data.tobytes() == out.data.tobytes()
+
+
+def test_block_gradients_match_finite_differences():
+    """Every gradient but wk's bias, which is zero: a shift of all keys moves
+    each query's scores by one constant, which the softmax ignores, so its
+    central difference is rounding noise."""
+    cfg = mm.ModelConfig(embed_dim_v=8, embed_dim_t=8, n_heads=2, mlp_ratio=2)
+    blk = _random_block(cfg, True)
+    x = Tensor(_block_tokens(cfg, 2, 3, 1), requires_grad=True)
+    w = Tensor(np.random.default_rng(3).normal(size=x.shape))
+    params = [x] + [p for name, p in mm._named_tensors(blk, "block") if name != "block.attn.wk.b"]
+    err = ad.grad_check(lambda: ad.tsum(blk(x) * w), params, step=1e-5)
+    assert err < 1e-6
 
 
 # -- text encoding ---------------------------------------------------------------

@@ -497,6 +497,35 @@ def test_split_step_matches_full_tape(tiny_model, tiny_stats, tiny_data, monkeyp
             assert np.max(np.abs(step_grads[p] - grads[ref])) <= 1e-10 * scale
 
 
+# Bound on the peak traced heap of one default-model episode. With a dozen
+# tape nodes per transformer block this test measured 76.03 MiB; with one
+# node per block, which keeps only what its backward reads, 45.64 MiB (numpy
+# 2.4.6, x86-64). The bound leaves about 10% above the latter.
+EPISODE_PEAK_MIB = 50.0
+
+
+def test_episode_tape_footprint():
+    """The recipe's episode (64 views, one step, L1 on layers 1-3) of an
+    untrained default model, measured by tracemalloc, which numpy reports
+    its buffers to: a count of bytes that no clock enters."""
+    import tracemalloc
+
+    cfg = tl.ModelConfig()
+    model = tl.DualEncoder(cfg, seed=0)
+    model.freeze()
+    rng = np.random.default_rng(0)
+    stats = tl.source_stats(rng.normal(size=(4, 1, 32, 32)), model, dataset_id="footprint")
+    prompts = tl.PromptState(cfg, seed=0)
+    image = rng.normal(size=(1, 32, 32))
+    tracemalloc.start()
+    try:
+        tl.adapt_and_predict(image, model, prompts, stats, tl.TTAConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < EPISODE_PEAK_MIB
+
+
 # -- config validation ----------------------------------------------------------------------
 
 
@@ -548,8 +577,11 @@ def test_config_validation():
     lambda: tl.ModelConfig(n_heads=2.0),
     lambda: tl.TTAConfig(seed=True),
     lambda: tl.ModelConfig(prompt_depth=True),
+    lambda: generate_views(np.zeros((1, 16, 16)), 1, 1.5),
+    lambda: generate_views(np.zeros((1, 16, 16)), 1, "x"),
+    lambda: generate_views(np.zeros((1, 16, 16)), 1, True),
 ], ids=["n_views", "n_steps", "seed", "seed-str", "align_layers", "view-seed", "model-field",
-        "bool-seed", "bool-depth"])
+        "bool-seed", "bool-depth", "one-view-seed", "one-view-seed-str", "one-view-bool-seed"])
 def test_integer_fields_reject_non_integers(build):
     """A float that would truncate, a string or a bool never stands in for an
     int; a Philox seed of 1.5 (or True) would otherwise draw the views of seed 1."""
