@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_int, check_real
 from .seeds import check_seed, philox
 
 DEFAULT_MIN_SCALE = 0.5
@@ -94,8 +94,8 @@ def generate_views(
     """Build ``n_views`` views of ``image`` (C, H, W); view 0 is the original.
     The seed is checked even when no view is drawn from it."""
     seed = check_seed(seed)
-    if n_views < 1:
-        raise ContractError(f"n_views must be >= 1, got {n_views}")
+    n_views = check_int("n_views", n_views, 1, error=ContractError)
+    check_real("min_scale", min_scale, 0, 1, above=True, error=ContractError)
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3:
         raise ContractError(f"expected (C, H, W) image, got shape {image.shape}")

@@ -28,8 +28,10 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import CompatibilityError, ConfigurationError, ContractError, DataError, FormatError
-from .model import DEFAULT_CLASS_NAMES, DualEncoder, ModelConfig, PromptState, predict
+from .errors import (CompatibilityError, ConfigurationError, ContractError, DataError,
+                     FormatError, check_int, check_real)
+from .model import (DEFAULT_CLASS_NAMES, DualEncoder, ModelConfig, PromptState,
+                    check_class_names, predict)
 from .seeds import philox
 from .stats import SourceStats
 from .tta import EpisodeResult, TTAConfig, adapt_and_predict
@@ -51,8 +53,7 @@ class ShiftSpec:
     def __post_init__(self):
         if self.kind not in SHIFT_KINDS:
             raise ContractError(f"unknown shift kind {self.kind!r}")
-        if self.magnitude < 0:
-            raise ContractError(f"shift magnitude must be >= 0, got {self.magnitude}")
+        check_real("shift magnitude", self.magnitude, 0, error=ContractError)
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,17 @@ class GenConfig:
     noise_sigma: float = 0.25
     amplitude: float = 1.0
     shift: ShiftSpec = ShiftSpec()
+
+    def __post_init__(self):
+        check_int("n_source", self.n_source, 0)
+        check_int("n_test", self.n_test, 0)
+        check_int("image_size", self.image_size, 1)
+        check_int("channels", self.channels, 1)
+        object.__setattr__(self, "class_names", check_class_names(self.class_names))
+        check_real("noise_sigma", self.noise_sigma, 0)
+        check_real("amplitude", self.amplitude, float("-inf"), above=True)
+        if not isinstance(self.shift, ShiftSpec):
+            raise ConfigurationError(f"shift must be a ShiftSpec, got {self.shift!r}")
 
     @property
     def n_classes(self) -> int:
@@ -339,10 +351,8 @@ def run_eval(
     identical for any worker count. Needs ``limit`` None or >= 0 and
     ``workers >= 1``.
     """
-    if limit is not None and limit < 0:
-        raise ConfigurationError(f"limit must be >= 0, got {limit}")
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    limit = None if limit is None else check_int("limit", limit, 0)
+    workers = check_int("workers", workers, 1)
     t0 = time.perf_counter()
     n = dataset.meta.n_samples if limit is None else min(limit, dataset.meta.n_samples)
     images = dataset.images[:n].astype(np.float64)
@@ -383,8 +393,7 @@ def run_eval(
 def zero_shot_top1(model: DualEncoder, dataset: DatasetBundle,
                    prompt_seed: int | None = 0, limit: int | None = None) -> float:
     """Frozen-model accuracy without any adaptation (prompts at init if given)."""
-    if limit is not None and limit < 0:
-        raise ConfigurationError(f"limit must be >= 0, got {limit}")
+    limit = None if limit is None else check_int("limit", limit, 0)
     n = dataset.meta.n_samples if limit is None else min(limit, dataset.meta.n_samples)
     prompts = PromptState(model.config, seed=prompt_seed) if prompt_seed is not None else None
     preds = predict(model, dataset.images[:n].astype(np.float64), prompts)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import math
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -32,7 +31,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigurationError, DataError, FormatError, ShapeError, check_int
+from .errors import (ConfigurationError, DataError, FormatError, ShapeError, check_int,
+                     check_real, check_tuple)
 from .optim import AdamW
 from .seeds import philox
 
@@ -46,6 +46,18 @@ DEFAULT_CLASS_NAMES = (
 # Images per encode_image call when a dataset is forwarded without a tape
 # (predict, source_stats).
 FORWARD_CHUNK = 64
+
+
+def check_class_names(names) -> tuple[str, ...]:
+    """``names`` as a tuple of unique single words; anything else raises
+    ConfigurationError."""
+    names = check_tuple("class_names", names)
+    for name in names:
+        if not isinstance(name, str) or not name or " " in name:
+            raise ConfigurationError(f"class name must be a single word: {name!r}")
+    if len(set(names)) != len(names):
+        raise ConfigurationError("class names must be unique")
+    return names
 
 
 @dataclass(frozen=True)
@@ -67,10 +79,10 @@ class ModelConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type == "int" and check_int(f.name, getattr(self, f.name)) < 1:
-                raise ConfigurationError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise ConfigurationError(f"temperature must be finite and > 0, got {self.temperature}")
+            if f.type == "int":
+                check_int(f.name, getattr(self, f.name), 1)
+        check_real("temperature", self.temperature, 0, above=True)
+        object.__setattr__(self, "class_names", check_class_names(self.class_names))
         if self.image_size % self.patch_size != 0:
             raise ConfigurationError(
                 f"image size {self.image_size} not divisible by patch {self.patch_size}"
@@ -82,12 +94,6 @@ class ModelConfig:
                 f"prompt_depth {self.prompt_depth} exceeds encoder depth "
                 f"({self.n_vision_layers} vision / {self.n_text_layers} text layers)"
             )
-        if len(set(self.class_names)) != len(self.class_names):
-            raise ConfigurationError("class names must be unique")
-        for name in self.class_names:
-            if (not name) or (" " in name):
-                raise ConfigurationError(f"class name must be a single word: {name!r}")
-        object.__setattr__(self, "class_names", tuple(self.class_names))
 
     @property
     def n_classes(self) -> int:
@@ -501,12 +507,9 @@ def pretrain_backbone(
     cosine/temperature classifier, then freeze. Returns per-epoch mean loss.
     Needs ``epochs >= 1``, ``batch_size >= 1`` and a finite ``lr > 0``.
     """
-    if epochs < 1 or batch_size < 1:
-        raise ConfigurationError(
-            f"epochs and batch_size must be >= 1, got {epochs} and {batch_size}"
-        )
-    if not (math.isfinite(lr) and lr > 0):
-        raise ConfigurationError(f"lr must be finite and > 0, got {lr}")
+    epochs = check_int("epochs", epochs, 1)
+    batch_size = check_int("batch_size", batch_size, 1)
+    check_real("lr", lr, 0, above=True)
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = images.shape[0]
@@ -571,31 +574,43 @@ def save_checkpoint(model: DualEncoder, path) -> None:
         fh.write(_serialize(model))
 
 
+class ByteReader:
+    """The bytes of one binary file, read front to back; an unreadable file
+    and a read past its end raise a FormatError that names ``what``."""
+
+    def __init__(self, path, what: str):
+        try:
+            with open(path, "rb") as fh:
+                self._raw = memoryview(fh.read())
+        except OSError as exc:
+            raise FormatError(f"cannot read {what}: {exc}") from exc
+        self.what = what
+        self.off = 0
+
+    @property
+    def left(self) -> int:
+        return len(self._raw) - self.off
+
+    def read(self, n: int) -> memoryview:
+        if n > self.left:
+            raise FormatError(f"{self.what} truncated")
+        self.off += n
+        return self._raw[self.off - n : self.off]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+
+
 def load_checkpoint(path) -> DualEncoder:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise FormatError(f"cannot read checkpoint: {exc}") from exc
-    view = memoryview(raw)
-    off = 0
-
-    def read(n: int) -> memoryview:
-        nonlocal off
-        if off + n > len(view):
-            raise FormatError("checkpoint file truncated")
-        chunk = view[off : off + n]
-        off += n
-        return chunk
-
-    if bytes(read(8)) != CHECKPOINT_MAGIC:
+    r = ByteReader(path, "checkpoint file")
+    if r.read(8) != CHECKPOINT_MAGIC:
         raise FormatError("bad checkpoint magic")
-    (version,) = struct.unpack("<I", read(4))
+    (version,) = r.unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack("<I", read(4))
+    (cfg_len,) = r.unpack("<I")
     try:
-        cfg_dict = json.loads(bytes(read(cfg_len)).decode())
+        cfg_dict = json.loads(bytes(r.read(cfg_len)).decode())
         cfg_dict["class_names"] = tuple(cfg_dict["class_names"])
         config = ModelConfig(**cfg_dict)
     except (ValueError, TypeError, KeyError, ConfigurationError) as exc:
@@ -606,25 +621,25 @@ def load_checkpoint(path) -> DualEncoder:
 
     model = DualEncoder(config, seed=0)
     named = dict(model.named_parameters())
-    (count,) = struct.unpack("<I", read(4))
+    (count,) = r.unpack("<I")
     if count != len(named):
         raise FormatError(f"checkpoint holds {count} arrays, model needs {len(named)}")
     loaded: set[str] = set()
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", read(2))
-        name = bytes(read(name_len)).decode(errors="replace")
+        (name_len,) = r.unpack("<H")
+        name = bytes(r.read(name_len)).decode(errors="replace")
         if name not in named:
             raise FormatError(f"unknown array {name!r} in checkpoint")
         if name in loaded:
             raise FormatError(f"array {name!r} appears twice in checkpoint")
         loaded.add(name)
-        (ndim,) = struct.unpack("<I", read(4))
-        dims = struct.unpack(f"<{ndim}Q", read(8 * ndim))
+        (ndim,) = r.unpack("<I")
+        dims = r.unpack(f"<{ndim}Q")
         if named[name].shape != dims:
             raise FormatError(f"array {name!r} has shape {dims}, expected {named[name].shape}")
-        data = np.frombuffer(read(8 * named[name].size), dtype="<f8").reshape(dims)
-        named[name].data = data.astype(np.float64).copy()
-    if off != len(view):
+        data = np.frombuffer(r.read(8 * named[name].size), dtype="<f8").reshape(dims)
+        named[name].data = data.astype(np.float64)
+    if r.left:
         raise FormatError("trailing bytes after checkpoint payload")
     model.freeze()
     return model

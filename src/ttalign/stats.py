@@ -34,7 +34,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import CompatibilityError, ContractError, DataError, FormatError
-from .model import FORWARD_CHUNK
+from .model import FORWARD_CHUNK, ByteReader
 
 STATS_MAGIC = b"TDSTATS1"
 
@@ -224,46 +224,28 @@ def save_stats(stats: SourceStats, path) -> None:
 
 
 def load_stats(path, expected_model_hash: str | None = None) -> SourceStats:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise FormatError(f"cannot read stats file: {exc}") from exc
-    off = 0
-
-    def read(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(raw):
-            raise FormatError("stats file truncated")
-        chunk = raw[off : off + n]
-        off += n
-        return chunk
-
-    if read(8) != STATS_MAGIC:
+    r = ByteReader(path, "stats file")
+    if r.read(8) != STATS_MAGIC:
         raise FormatError("bad stats file magic")
-    model_hash = read(32).hex()
-    n_layers, dim, max_order = struct.unpack("<III", read(12))
+    model_hash = r.read(32).hex()
+    n_layers, dim, max_order = r.unpack("<III")
     if n_layers < 1 or dim < 1 or max_order < 2:
         raise FormatError(
             f"bad stats header: n_layers {n_layers}, dim {dim}, max_order {max_order}"
         )
-    (did_len,) = struct.unpack("<I", read(4))
+    (did_len,) = r.unpack("<I")
     try:
-        dataset_id = read(did_len).decode()
+        dataset_id = bytes(r.read(did_len)).decode()
     except UnicodeDecodeError as exc:
         raise FormatError(f"stats dataset id is not UTF-8: {exc}") from exc
-    (sample_count,) = struct.unpack("<Q", read(8))
+    (sample_count,) = r.unpack("<Q")
     body = n_layers * dim * max_order * 8
-    if len(raw) - off != body:
-        raise FormatError(f"stats body holds {len(raw) - off} bytes, header needs {body}")
-
-    def read_vec() -> np.ndarray:
-        return np.frombuffer(read(8 * dim), dtype="<f8").astype(np.float64)
-
+    if r.left != body:
+        raise FormatError(f"stats body holds {r.left} bytes, header needs {body}")
     moments: dict[int, list[np.ndarray]] = {k: [] for k in range(1, max_order + 1)}
     for _ in range(n_layers):
         for k in range(1, max_order + 1):
-            moments[k].append(read_vec())
+            moments[k].append(np.frombuffer(r.read(8 * dim), dtype="<f8").astype(np.float64))
 
     stats = SourceStats(
         moments=moments,

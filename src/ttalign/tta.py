@@ -12,7 +12,6 @@ optimizer, so a sample's result never depends on the samples before it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -21,7 +20,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .augment import DEFAULT_MIN_SCALE, generate_views
-from .errors import CompatibilityError, ConfigurationError, ContractError, DataError, check_int
+from .errors import (CompatibilityError, ConfigurationError, ContractError, DataError,
+                     check_int, check_real, check_tuple)
 from .model import DualEncoder, ModelConfig, PromptState, classify
 from .optim import AdamW
 from .seeds import philox
@@ -49,31 +49,21 @@ class TTAConfig:
     crop_min_scale: float = DEFAULT_MIN_SCALE
 
     def __post_init__(self):
-        object.__setattr__(self, "align_layers", tuple(self.align_layers))
-        for name in ("n_views", "n_steps", "seed"):
-            check_int(name, getattr(self, name))
+        object.__setattr__(self, "align_layers", check_tuple("align_layers", self.align_layers))
+        check_int("n_views", self.n_views, 1)
+        check_int("n_steps", self.n_steps, 0)
+        check_int("seed", self.seed)
         for layer in self.align_layers:
             check_int("align_layers entry", layer)
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise ConfigurationError(f"beta must be finite and >= 0, got {self.beta}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        check_real("beta", self.beta, 0)
+        check_real("learning_rate", self.learning_rate, 0, above=True)
+        check_real("weight_decay", self.weight_decay, 0)
+        check_real("crop_min_scale", self.crop_min_scale, 0, 1, above=True)
+        check_real("filter_ratio", self.filter_ratio, 0, 1, above=True)
+        if not isinstance(self.update_coupling, bool):
             raise ConfigurationError(
-                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+                f"update_coupling must be a bool, got {self.update_coupling!r}"
             )
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ConfigurationError(
-                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
-            )
-        if not 0.0 < self.crop_min_scale <= 1.0:
-            raise ConfigurationError(
-                f"crop_min_scale must be in (0, 1], got {self.crop_min_scale}"
-            )
-        if not 0.0 < self.filter_ratio <= 1.0:
-            raise ConfigurationError(f"filter_ratio must be in (0, 1], got {self.filter_ratio}")
-        if self.n_views < 1:
-            raise ConfigurationError(f"n_views must be >= 1, got {self.n_views}")
-        if self.n_steps < 0:
-            raise ConfigurationError(f"n_steps must be >= 0, got {self.n_steps}")
         if self.mode != "episodic":
             raise ConfigurationError(
                 f"mode must be 'episodic', got {self.mode!r} (continuous mode was removed)"
@@ -85,7 +75,7 @@ class TTAConfig:
 
 def parse_align_variant(name: str) -> tuple[str, int]:
     """Split an alignment-loss name into (kind, max_order)."""
-    low = name.lower()
+    low = name.lower() if isinstance(name, str) else ""
     if low in ALIGN_VARIANTS:
         return low, 2
     if low.startswith("cmd-"):
@@ -362,10 +352,8 @@ def gradient_suite(n_episodes: int = 20, seed: int = 0, step: float = 1e-5) -> d
     max relative error per loss. Needs ``n_episodes >= 1`` and a finite
     ``step > 0``, so that it never reports a check it did not run.
     """
-    if n_episodes < 1:
-        raise ConfigurationError(f"n_episodes must be >= 1, got {n_episodes}")
-    if not (math.isfinite(step) and step > 0):
-        raise ConfigurationError(f"step must be finite and > 0, got {step}")
+    n_episodes = check_int("n_episodes", n_episodes, 1)
+    check_real("step", step, 0, above=True)
     cfg = GRADCHECK_CONFIG
     mdl = DualEncoder(cfg, seed=seed)
     mdl.freeze()

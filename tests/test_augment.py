@@ -71,6 +71,14 @@ def test_zero_views_rejected():
         generate_views(_image(), 0, seed=0)
 
 
+@pytest.mark.parametrize("n_views, min_scale", [
+    (2.5, 0.5), ("4", 0.5), (4, 0.0), (4, 5.0), (4, float("nan")), (4, "x"),
+])
+def test_bad_view_settings_rejected(n_views, min_scale):
+    with pytest.raises(ContractError):
+        generate_views(_image(), n_views, 0, min_scale)
+
+
 @pytest.mark.parametrize("n_views", [1, 2])
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_out_of_range_seed_rejected_for_any_view_count(n_views, seed):

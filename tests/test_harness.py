@@ -461,6 +461,11 @@ def test_cli_eval_without_stats_exits_2(cli_workspace, capsys):
     (["--workers", "0"], ""),
     (["--prompt-seed", "-1"], ""),
     (["--prompt-seed", str(2**64)], ""),
+    # non-finite or out-of-range values, from the file or a flag
+    ([], "learning_rate=nan"),
+    (["--filter-ratio", "nan"], ""),
+    ([], "crop_min_scale=inf"),
+    (["--n-steps", "-1"], ""),
 ])
 def test_cli_invalid_tta_config_exits_2(cli_workspace, tmp_path, capsys, flags, cfg_line):
     ws = cli_workspace
@@ -683,6 +688,11 @@ def test_every_ablation_axis_changes_the_records(tiny_model, tiny_stats, tiny_da
     ([], ["--noise-sigma", "loud"]),
     (["--seed", "-1"], []),
     (["--seed", str(2**64)], []),
+    ([], ["--noise-sigma", "-1"]),
+    ([], ["--noise-sigma", "nan"]),
+    ([], ["--n-test", "-1"]),
+    ([], ["--shift-magnitude", "nan"]),
+    ([], ["--shift-magnitude", "-0.5"]),
 ])
 def test_cli_gen_data_bad_value_exits_2(cli_workspace, tmp_path, capsys, head, tail):
     rc = cli_main([*head, "--config", str(cli_workspace["cfg"]), "--out", str(tmp_path / "d"),
@@ -690,6 +700,20 @@ def test_cli_gen_data_bad_value_exits_2(cli_workspace, tmp_path, capsys, head, t
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("cfg_line", [
+    "image_size=0", "channels=0", "n_source=-1", "amplitude=nan", "noise_sigma=inf",
+])
+def test_cli_gen_data_bad_config_line_exits_2(cli_workspace, tmp_path, capsys, cfg_line):
+    """A GenConfig value from the config file is checked before anything is written."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(cli_workspace["cfg"].read_text() + cfg_line + "\n")
+    rc = cli_main(["--config", str(cfg), "--out", str(tmp_path / "d"), "gen-data"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "d" / "source").exists()
 
 
 def _tree_bytes(root):

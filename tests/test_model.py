@@ -416,6 +416,7 @@ def test_pretrain_rejects_empty_dataset():
     {"epochs": 0}, {"epochs": -2}, {"batch_size": 0},
     {"lr": 0.0}, {"lr": -1e-3}, {"lr": float("nan")}, {"lr": float("inf")},
     {"seed": -1}, {"seed": 2**64},
+    {"epochs": 1.5}, {"batch_size": 2.5}, {"epochs": True}, {"lr": "x"}, {"lr": True},
 ])
 def test_pretrain_rejects_bad_settings_before_training(kwargs):
     m = tl.DualEncoder(CFG, seed=0)

@@ -6,6 +6,7 @@ import pytest
 
 import ttalign as tl
 from ttalign import autodiff as ad
+from ttalign import harness
 from ttalign import stats as st
 from ttalign import tta
 from ttalign.augment import generate_views
@@ -551,6 +552,8 @@ def test_config_validation():
         {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
         {"crop_min_scale": 0.0}, {"crop_min_scale": 1.5}, {"crop_min_scale": float("nan")},
         {"weight_decay": -5.0}, {"weight_decay": float("nan")}, {"weight_decay": float("inf")},
+        {"beta": "x"}, {"crop_min_scale": "x"}, {"filter_ratio": None}, {"learning_rate": True},
+        {"align_loss": 3}, {"align_layers": 5}, {"update_coupling": "no"}, {"seed": "x"},
     ]
     for kwargs in bad:
         with pytest.raises(ConfigurationError):
@@ -561,6 +564,7 @@ def test_config_validation():
         {"n_heads": 0}, {"image_size": 0}, {"patch_size": -8}, {"n_vision_layers": 0},
         {"n_prompt_tokens": 0}, {"mlp_ratio": 0},
         {"temperature": 0.0}, {"temperature": -1.0}, {"temperature": float("nan")},
+        {"temperature": "x"}, {"class_names": (1, 2)}, {"class_names": "ab"},
     ]
     for kwargs in bad_model:
         with pytest.raises(ConfigurationError):
@@ -580,8 +584,16 @@ def test_config_validation():
     lambda: generate_views(np.zeros((1, 16, 16)), 1, 1.5),
     lambda: generate_views(np.zeros((1, 16, 16)), 1, "x"),
     lambda: generate_views(np.zeros((1, 16, 16)), 1, True),
+    lambda: harness.run_eval(None, None, None, tl.TTAConfig(), limit=1.5),
+    lambda: harness.run_eval(None, None, None, tl.TTAConfig(), limit=True),
+    lambda: harness.run_eval(None, None, None, tl.TTAConfig(), workers=2.5),
+    lambda: harness.zero_shot_top1(None, None, limit=1.5),
+    lambda: harness.GenConfig(n_source=1.5),
+    lambda: harness.GenConfig(image_size=True),
 ], ids=["n_views", "n_steps", "seed", "seed-str", "align_layers", "view-seed", "model-field",
-        "bool-seed", "bool-depth", "one-view-seed", "one-view-seed-str", "one-view-bool-seed"])
+        "bool-seed", "bool-depth", "one-view-seed", "one-view-seed-str", "one-view-bool-seed",
+        "eval-limit", "eval-bool-limit", "eval-workers", "zero-shot-limit", "gen-count",
+        "gen-bool-size"])
 def test_integer_fields_reject_non_integers(build):
     """A float that would truncate, a string or a bool never stands in for an
     int; a Philox seed of 1.5 (or True) would otherwise draw the views of seed 1."""
@@ -592,6 +604,7 @@ def test_integer_fields_reject_non_integers(build):
 @pytest.mark.parametrize("kwargs", [
     {"n_episodes": 0}, {"n_episodes": -3},
     {"step": 0.0}, {"step": -1e-5}, {"step": float("nan")}, {"step": float("inf")},
+    {"n_episodes": 1.5}, {"n_episodes": True}, {"step": "x"}, {"step": True},
 ])
 def test_gradient_suite_rejects_checks_it_cannot_run(kwargs):
     with pytest.raises(ConfigurationError):
