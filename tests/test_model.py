@@ -212,28 +212,56 @@ def _closure_arrays(fn):
 
 @pytest.mark.parametrize("trainable", [False, True], ids=["frozen", "trainable"])
 def test_block_tape_keeps_what_its_backward_reads(trainable):
-    """One tape node per block. Frozen, it holds both LayerNorms' xhat and
-    inv, the three head copies, the attention probabilities and the GELU
-    derivative; trainable, also the four linear inputs. Untaped it holds
-    nothing, and its output keeps the taped bits."""
-    cfg, b, t = DEFAULT, 4, 19
+    """One tape node per block, over an episode's 64 views. Frozen, it holds,
+    for each row chunk, both LayerNorms' xhat and inv, the three head
+    copies, the attention probabilities and the GELU derivative; trainable,
+    the batch is one chunk that also holds the four linear inputs. Untaped
+    it holds nothing, and its output keeps the taped bits."""
+    cfg, b, t = DEFAULT, 64, 19
     blk = _random_block(cfg, trainable)
     d, h = cfg.embed_dim_v, cfg.n_heads
     x = Tensor(_block_tokens(cfg, b, t, 1), requires_grad=True)
     out = blk(x)
     assert out._parents[:2] == (x, x) and len(out._parents) == 18
-    held = _closure_arrays(out._vjp)
-    sizes = sorted(a.size for a in held)
-    want = [b * t] * 2 + [b * t * d] * 5 + [b * h * t * t] + [b * t * d * cfg.mlp_ratio]
-    if trainable:
-        want += [b * t * d] * 3 + [b * t * d * cfg.mlp_ratio]
-    assert sizes == sorted(want)
+    chunks = ad._row_chunks(b, x.size, trainable)
+    assert len(chunks) == 1 if trainable else len(chunks) > 1
+    want = []
+    for rows in chunks:
+        r = rows.stop - rows.start
+        want += [r * t] * 2 + [r * t * d] * 5 + [r * h * t * t] + [r * t * d * cfg.mlp_ratio]
+        if trainable:
+            want += [r * t * d] * 3 + [r * t * d * cfg.mlp_ratio]
+    assert sorted(a.size for a in _closure_arrays(out._vjp)) == sorted(want)
     with ad.no_grad():
         untaped = blk(x)
     frozen = _random_block(cfg, False)
     for y in (untaped, frozen(Tensor(x.data))):
         assert y._vjp is None and y._parents == () and not y.requires_grad
     assert untaped.data.tobytes() == out.data.tobytes()
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_block_chunks_keep_whole_batch_bits(monkeypatch, taped):
+    """A frozen block over 7 rows split into uneven chunks gives the output
+    and the input gradient of one whole-batch chunk, bit for bit."""
+    cfg, rows, tokens = DEFAULT, 7, 19
+    blk = _random_block(cfg, False)
+    xd = _block_tokens(cfg, rows, tokens, 1)
+    g = np.random.default_rng(4).normal(size=xd.shape)
+
+    def bits(budget):
+        monkeypatch.setattr(ad, "BLOCK_CHUNK", budget)
+        x = Tensor(xd, requires_grad=taped)
+        out = blk(x)
+        if not taped:
+            return [out.data.tobytes()]
+        return [out.data.tobytes(), ad.backward(ad.tsum(out * Tensor(g)))[x].tobytes()]
+
+    budget = xd.size // 3
+    monkeypatch.setattr(ad, "BLOCK_CHUNK", budget)
+    chunks = ad._row_chunks(rows, xd.size, False)
+    assert [r.stop - r.start for r in chunks] == [1, 2, 2, 2]
+    assert bits(budget) == bits(xd.size)
 
 
 def test_block_gradients_match_finite_differences():
